@@ -1,11 +1,12 @@
-"""Ablation: specialised JIT modules vs the generic interpreted
-dispatcher (the design alternative Sec. V discusses and rejects — a
-union-type/generic interpreter "adds execution overhead and inefficiency,
-since an additional step is required to look up" operators per call).
+"""Ablation: specialised JIT-compiled C++ kernels vs the generic
+interpreted dispatcher (the design alternative Sec. V discusses and
+rejects — a union-type/generic interpreter "adds execution overhead and
+inefficiency, since an additional step is required to look up" operators
+per call).
 
-At tiny sizes dispatch dominates (the JIT's advantage shows); at large
-sizes kernel work dominates and the engines converge — the same shape as
-the Fig. 10 DSL-overhead claim, one level down the stack.
+Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_ablation_dispatch.py``;
+the cpp rows need a C++ toolchain.  EXPERIMENTS.md records the measured
+medians.
 """
 
 import numpy as np
@@ -14,7 +15,10 @@ import pytest
 import repro as gb
 from repro.io.generators import erdos_renyi
 
+from conftest import requires_cpp
+
 SIZES = [16, 256, 4096]
+ENGINES = ["interpreted", pytest.param("cpp", marks=requires_cpp)]
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +45,7 @@ def mat_ops():
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("engine_name", ["interpreted", "pyjit"])
+@pytest.mark.parametrize("engine_name", ENGINES)
 def test_ewise_add_dispatch(benchmark, vec_ops, engine_name, n):
     u, v, w = vec_ops[n]
 
@@ -54,7 +58,7 @@ def test_ewise_add_dispatch(benchmark, vec_ops, engine_name, n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("engine_name", ["interpreted", "pyjit"])
+@pytest.mark.parametrize("engine_name", ENGINES)
 def test_mxv_dispatch(benchmark, mat_ops, engine_name, n):
     a, u, w = mat_ops[n]
 

@@ -23,7 +23,7 @@ def ops():
     a = erdos_renyi(N, seed=1, weighted=True, dtype=float)
     b = erdos_renyi(N, seed=2, weighted=True, dtype=float)
     c = gb.Matrix(shape=(N, N), dtype=float)
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         c[None] = a + b  # warm the kernels
         tmp = gb.Matrix(a + b)
         c[None] = gb.apply(tmp)
@@ -36,7 +36,7 @@ def test_lazy_ewise_into_container(benchmark, ops):
     def lazy():
         c[None] = a + b
 
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         benchmark(lazy)
 
 
@@ -47,7 +47,7 @@ def test_eager_temporary_then_assign(benchmark, ops):
         tmp = gb.Matrix(a + b)  # explicit temporary container
         c[None] = gb.apply(tmp)  # then a full copy into C
 
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         benchmark(eager)
 
 
@@ -57,7 +57,7 @@ def test_container_reuse_setitem(benchmark, ops):
     def reuse():
         c[None] = a @ b
 
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         reuse()
         benchmark(reuse)
 
@@ -68,6 +68,6 @@ def test_container_fresh_rebind(benchmark, ops):
     def fresh():
         return gb.Matrix(a @ b)  # new container every time (C = A @ B)
 
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         fresh()
         benchmark(fresh)

@@ -5,7 +5,7 @@ The paper's compilation cache amortizes ``g++`` latency "over future
 runs", but a *fresh* cache directory (new container, new host, wiped
 ``$PYGB_CACHE_DIR``) pays the full compile on the first dispatch of
 every spec.  This benchmark measures exactly that first-op cost — one
-cold ``mxv`` on the chosen engine in a brand-new child process with an
+cold ``mxv`` on the cpp engine in a brand-new child process with an
 empty cache dir — under three configurations:
 
 * ``jit``      — no catalog: the first op generates + compiles inline;
@@ -125,7 +125,10 @@ def main(argv=None) -> int:
         report = bake_catalog(pack)
         print(f"  {report['entries']} entries in {report['seconds']:.1f}s")
 
-    engines = ["pyjit"] + (["cpp"] if toolchain_works() else [])
+    if not toolchain_works():
+        print("no working C++ toolchain: nothing to measure", file=sys.stderr)
+        return 1
+    engines = ["cpp"]
     results: dict = {
         "host": {
             "platform": platform.platform(),

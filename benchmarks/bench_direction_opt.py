@@ -106,7 +106,7 @@ def _run_graph(engine: str, scale: int) -> dict:
 
 
 def main() -> int:
-    engines = ["interpreted", "pyjit"] + (["cpp"] if compiler_available() else [])
+    engines = ["interpreted"] + (["cpp"] if compiler_available() else [])
     doc = {
         "host": {
             "platform": platform.platform(),

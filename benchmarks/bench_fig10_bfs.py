@@ -2,8 +2,8 @@
 paper's three execution versions, against graph size.
 
 * ``dsl`` — version 1: PyGB code, Python outer loop, one JIT-compiled
-  kernel call per operation (parametrised over the ``pyjit`` and ``cpp``
-  engines);
+  kernel call per operation (parametrised over the ``interpreted`` and
+  ``cpp`` engines);
 * ``native`` — direct backend-kernel calls, no DSL objects (the native
   comparison point for the NumPy backend);
 * ``compiled`` — version 2: Python calls the whole algorithm as a single
@@ -20,9 +20,9 @@ from conftest import SIZES, requires_cpp
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_bfs_dsl_pyjit(benchmark, graphs, n):
+def test_bfs_dsl_interpreted(benchmark, graphs, n):
     g = graphs[n]
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         bfs_levels(g, 0)  # warm the JIT cache outside the timed region
         result = benchmark(bfs_levels, g, 0)
     assert result.nvals > 0

@@ -19,9 +19,9 @@ def _run_dsl(g):
 
 
 @pytest.mark.parametrize("n", SIZES_SMALL)
-def test_pagerank_dsl_pyjit(benchmark, pagerank_graphs, n):
+def test_pagerank_dsl_interpreted(benchmark, pagerank_graphs, n):
     g = pagerank_graphs[n]
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         _run_dsl(g)
         result = benchmark(_run_dsl, g)
     assert result.nvals == n

@@ -16,9 +16,9 @@ def _run_dsl(g):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_sssp_dsl_pyjit(benchmark, weighted_graphs, n):
+def test_sssp_dsl_interpreted(benchmark, weighted_graphs, n):
     g = weighted_graphs[n]
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         _run_dsl(g)
         result = benchmark(_run_dsl, g)
     assert result.nvals > 0

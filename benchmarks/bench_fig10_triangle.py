@@ -16,9 +16,9 @@ def lower_graphs():
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_triangle_dsl_pyjit(benchmark, lower_graphs, n):
+def test_triangle_dsl_interpreted(benchmark, lower_graphs, n):
     L = lower_graphs[n]
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         triangle_count(L)
         result = benchmark(triangle_count, L)
     assert result >= 0

@@ -11,8 +11,10 @@ Two effects are measured:
 * **engine calls** — counted with ``CountingEngine``; savings here are
   deterministic and size-independent.
 
-Run ``python benchmarks/bench_fusion.py``; results (with host specs)
-land in ``benchmarks/results/fusion.json``.
+Fusion exists on the cpp engine only (the interpreted engine is the
+unfused baseline), so this needs a C++ compiler.  Run
+``python benchmarks/bench_fusion.py``; results (with host specs) land in
+``benchmarks/results/fusion.json``.
 """
 
 from __future__ import annotations
@@ -102,10 +104,10 @@ def _with_fusion(flag: bool, fn):
 
 
 def _engine_call_counts(n: int) -> dict:
-    """Engine calls for one PageRank run, fused vs eager (pyjit)."""
+    """Engine calls for one PageRank run, fused vs eager (cpp)."""
     out = {}
     for label, flag in (("fusion_on", True), ("fusion_off", False)):
-        eng = CountingEngine(make_engine("pyjit"))
+        eng = CountingEngine(make_engine("cpp"))
 
         def trace():
             with gb.use_engine(eng):
@@ -117,14 +119,14 @@ def _engine_call_counts(n: int) -> dict:
 
 
 def _nonblocking_call_counts(n: int) -> dict:
-    """Engine calls for one PageRank run, blocking vs nonblocking (pyjit):
+    """Engine calls for one PageRank run, blocking vs nonblocking (cpp):
     the lazy queue's dead-store elimination and copy elision remove whole
     dispatches deterministically, on top of per-statement fusion."""
     from repro.core.nonblocking import reset_stats, stats
 
     out = {}
     for label, deferred in (("blocking", False), ("nonblocking", True)):
-        eng = CountingEngine(make_engine("pyjit"))
+        eng = CountingEngine(make_engine("cpp"))
         reset_stats()
         with gb.use_engine(eng):
             if deferred:
@@ -139,7 +141,9 @@ def _nonblocking_call_counts(n: int) -> dict:
 
 
 def main() -> None:
-    engines = ["pyjit"] + (["cpp"] if compiler_available() else [])
+    if not compiler_available():
+        raise SystemExit("fusion runs on the cpp engine only: no C++ compiler found")
+    engines = ["cpp"]
     results: dict = {
         "host": {
             "platform": platform.platform(),

@@ -3,9 +3,9 @@ worse than for native GBTL implementation", and Sec. V: compile cost "can
 be amortized over future runs").
 
 Measures the three lookup outcomes of the Fig. 9 ``get_module`` pipeline
-for both code generators:
+for the C++ code generator:
 
-* **cold compile** — generate + (for C++) invoke the compiler + load;
+* **cold compile** — generate + invoke the compiler + load;
 * **disk hit** — a fresh process/memory cache finding the artifact on disk;
 * **memory hit** — the steady-state dispatch path.
 """
@@ -15,8 +15,6 @@ import numpy as np
 from repro.backend.kernels import OpDesc
 from repro.backend.svector import SparseVector
 from repro.jit.cache import JitCache
-from repro.jit.pycodegen import generate_source
-from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import KernelSpec
 
 from conftest import requires_cpp
@@ -30,51 +28,6 @@ def _spec(**extra):
     )
     base.update(extra)
     return KernelSpec.make("mxv", **base)
-
-
-def test_pyjit_cold_compile(benchmark, tmp_path):
-    cache = JitCache(tmp_path)
-    counter = [0]
-
-    def cold():
-        counter[0] += 1
-        spec = _spec(tag=counter[0])  # unique spec every call
-        return cache.get_module(spec, generate_source)
-
-    benchmark.pedantic(cold, rounds=20, iterations=1)
-    assert cache.stats.compiles >= 20
-
-
-def test_pyjit_disk_hit(benchmark, tmp_path):
-    cache = JitCache(tmp_path)
-    spec = _spec()
-    cache.get_module(spec, generate_source)
-
-    def disk_hit():
-        cache.clear_memory()
-        return cache.get_module(spec, generate_source)
-
-    benchmark.pedantic(disk_hit, rounds=50, iterations=1)
-    assert cache.stats.compiles == 1
-
-
-def test_pyjit_memory_hit(benchmark, tmp_path):
-    cache = JitCache(tmp_path)
-    spec = _spec()
-    cache.get_module(spec, generate_source)
-    benchmark(cache.get_module, spec, generate_source)
-    assert cache.stats.compiles == 1
-
-
-def test_pyjit_steady_state_dispatch(benchmark, tmp_path):
-    """Full engine dispatch with a warm cache: this is the constant
-    per-operation overhead the paper's Fig. 10 claim is about."""
-    eng = PyJitEngine(JitCache(tmp_path))
-    u = SparseVector.from_coo(8, [0, 3], [1.0, 2.0])
-    w = SparseVector.empty(8, np.float64)
-    desc = OpDesc()
-    eng.ewise_add_vec(w, u, u, "Plus", desc)
-    benchmark(eng.ewise_add_vec, w, u, u, "Plus", desc)
 
 
 @requires_cpp
@@ -91,7 +44,7 @@ def test_cpp_cold_compile(benchmark, tmp_path):
         counter[0] += 1
         spec = _spec(tag=counter[0])  # unique spec -> one g++ run each
         return eng.cache.get_module(
-            spec, generate_cpp_source, suffix=".cpp", compiler=eng._compile
+            spec, generate_cpp_source, compiler=eng._compile
         )
 
     benchmark.pedantic(cold, rounds=6, iterations=1, warmup_rounds=0)
@@ -104,13 +57,39 @@ def test_cpp_disk_hit(benchmark, tmp_path):
 
     eng = CppJitEngine(JitCache(tmp_path))
     spec = _spec()
-    eng.cache.get_module(spec, generate_cpp_source, suffix=".cpp", compiler=eng._compile)
+    eng.cache.get_module(spec, generate_cpp_source, compiler=eng._compile)
 
     def disk_hit():
         eng.cache.clear_memory()
         return eng.cache.get_module(
-            spec, generate_cpp_source, suffix=".cpp", compiler=eng._compile
+            spec, generate_cpp_source, compiler=eng._compile
         )
 
     benchmark.pedantic(disk_hit, rounds=30, iterations=1)
     assert eng.cache.stats.compiles == 1
+
+
+@requires_cpp
+def test_cpp_memory_hit(benchmark, tmp_path):
+    from repro.jit.cppcodegen import generate_cpp_source
+    from repro.jit.cppengine import CppJitEngine
+
+    eng = CppJitEngine(JitCache(tmp_path))
+    spec = _spec()
+    eng.cache.get_module(spec, generate_cpp_source, eng._compile)
+    benchmark(eng.cache.get_module, spec, generate_cpp_source, eng._compile)
+    assert eng.cache.stats.compiles == 1
+
+
+@requires_cpp
+def test_cpp_steady_state_dispatch(benchmark, tmp_path):
+    """Full engine dispatch with a warm cache: this is the constant
+    per-operation overhead the paper's Fig. 10 claim is about."""
+    from repro.jit.cppengine import CppJitEngine
+
+    eng = CppJitEngine(JitCache(tmp_path))
+    u = SparseVector.from_coo(8, [0, 3], [1.0, 2.0])
+    w = SparseVector.empty(8, np.float64)
+    desc = OpDesc()
+    eng.ewise_add_vec(w, u, u, "Plus", desc)
+    benchmark(eng.ewise_add_vec, w, u, u, "Plus", desc)

@@ -107,7 +107,7 @@ def _measure(fn) -> dict:
 
 
 def main() -> None:
-    engines = ["interpreted", "pyjit"] + (["cpp"] if compiler_available() else [])
+    engines = ["interpreted"] + (["cpp"] if compiler_available() else [])
     results: dict = {
         "host": {
             "platform": platform.platform(),

@@ -1,6 +1,6 @@
 """Table I micro-benchmarks: one benchmark per GraphBLAS operation in its
 PyGB notation, at a fixed representative size (|V| = 1024, |E| = |V|^1.5),
-under the default (pyjit) engine.
+under the default (interpreted) engine.
 
 These quantify the per-operation cost behind the Fig. 10 curves: the DSL
 adds a constant expression-object + dispatch overhead to each row of this
@@ -26,7 +26,7 @@ def ctx():
     out_m = gb.Matrix(shape=(N, N), dtype=float)
     out_v = gb.Vector(shape=(N,), dtype=float)
     # warm every kernel once so only steady-state dispatch is measured
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         out_m[None] = a @ b
         out_v[None] = a @ u
         out_v[None] = u @ a
@@ -42,7 +42,7 @@ def ctx():
 
 
 def _bench(benchmark, fn):
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         benchmark(fn)
 
 
@@ -118,6 +118,6 @@ def test_masked_mxv(benchmark, ctx):
     def run():
         ctx["out_v"][ctx["m"]] = ctx["a"] @ ctx["u"]
 
-    with gb.use_engine("pyjit"):
+    with gb.use_engine("interpreted"):
         run()  # warm the masked-variant module
         benchmark(run)

@@ -48,7 +48,7 @@ EDGE_FACTOR = 16
 TILES = [1, 2, 4, 8]
 WORKERS = [1, 2, 4]
 REPEATS = 5
-ENGINE = "pyjit"
+ENGINE = "interpreted"
 
 
 def _median_time(fn, repeats: int = REPEATS) -> float:

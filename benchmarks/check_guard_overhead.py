@@ -9,11 +9,12 @@ case (the regime where per-op overhead matters most) and fails when the
 guarded dispatch is more than ``THRESHOLD`` (default 2%) slower than
 dispatching straight into the unwrapped inner stack.
 
-The A/B pair shares one engine object: ``make_engine("pyjit")`` returns
-``Guarded(Partitioned(Resilient(...)))`` and the baseline leg installs
-its ``_inner`` directly, so JIT caches, allocator state, and the whole
-downstream stack are identical — the measurement isolates exactly the
-guard wrapper.  A/B batches are interleaved and the minimum per-batch
+The A/B pair shares one engine object: ``make_engine("interpreted")``
+returns ``Guarded(Partitioned(...))`` and the baseline leg installs its
+``_inner`` directly, so allocator state and the whole downstream stack
+are identical — the measurement isolates exactly the guard wrapper.  The
+interpreted engine has the cheapest per-op path, so the wrapper's share
+of each op is largest there.  A/B batches are interleaved and the minimum per-batch
 time is compared, which suppresses scheduler noise.
 
 Exit status 0 = within budget, 1 = regression.  Threshold override:
@@ -58,11 +59,11 @@ def main() -> int:
 
     n = 256  # bench_fusion's smallest case
     fn = _chains(n)["mxv+apply"]
-    guarded = make_engine("pyjit")
+    guarded = make_engine("interpreted")
     plain = guarded._inner  # identical downstream stack, guard removed
 
     with gb.use_engine(guarded):
-        for _ in range(3):  # warm-up: JIT caches + lazy method wrappers
+        for _ in range(3):  # warm-up: allocator + lazy method wrappers
             _batch_time(fn)
     with gb.use_engine(plain):
         _batch_time(fn)
@@ -83,7 +84,7 @@ def main() -> int:
     best_bare = min(bare) / BATCH
     overhead = best_hooked / best_bare - 1.0
     print(
-        f"mxv+apply n={n} (pyjit, {ROUNDS} rounds x {BATCH} calls): "
+        f"mxv+apply n={n} (interpreted, {ROUNDS} rounds x {BATCH} calls): "
         f"guarded {best_hooked / 1e3:.2f} us/op, "
         f"guard-free {best_bare / 1e3:.2f} us/op, "
         f"overhead {overhead * 100:+.2f}% (budget {THRESHOLD * 100:.0f}%)"

@@ -86,8 +86,8 @@ def main() -> int:
 
     n = 256  # bench_fusion's smallest case
     fn = _chains(n)["mxv+apply"]
-    with gb.use_engine("pyjit"):
-        for _ in range(3):  # warm-up: JIT caches + allocator
+    with gb.use_engine("interpreted"):
+        for _ in range(3):  # warm-up: allocator
             _batch_time(fn)
 
         # Within a round, whichever variant runs first measures a few
@@ -113,7 +113,7 @@ def main() -> int:
     best_plain = min(plain) / BATCH
     overhead = best_hooked / best_plain - 1.0
     print(
-        f"mxv+apply n={n} (pyjit, {ROUNDS} rounds x {BATCH} calls): "
+        f"mxv+apply n={n} (interpreted, {ROUNDS} rounds x {BATCH} calls): "
         f"hooked {best_hooked / 1e3:.2f} us/op, "
         f"hook-free {best_plain / 1e3:.2f} us/op, "
         f"overhead {overhead * 100:+.2f}% (budget {THRESHOLD * 100:.0f}%)"

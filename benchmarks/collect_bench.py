@@ -35,6 +35,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 os.environ.setdefault("PYGB_CACHE_DIR", str(REPO_ROOT / ".pygb_cache"))
+# every count below is taken on the paper's engine, the fusing cpp engine
+# (service worker threads resolve their engine from the environment)
+os.environ["PYGB_BACKEND"] = "cpp"
 
 import repro as gb  # noqa: E402
 from repro import tiling  # noqa: E402
@@ -63,7 +66,7 @@ def _count(fn, fusion: bool) -> int:
     old = os.environ.get("PYGB_FUSION")
     os.environ["PYGB_FUSION"] = "1" if fusion else "0"
     try:
-        eng = CountingEngine(make_engine("pyjit"))
+        eng = CountingEngine(make_engine("cpp"))
         with gb.use_engine(eng):
             fn()
         return eng.total
@@ -297,10 +300,10 @@ def _guard_metrics() -> dict:
 
 
 def _catalog_metrics() -> dict:
-    """Deterministic AOT-catalog counters: bake a ``.py``-flavour pack
-    (no toolchain needed, so the numbers are machine-independent), then
-    run PageRank in a cold child process — fresh ``PYGB_CACHE_DIR`` —
-    once under ``PYGB_CATALOG`` and once without.
+    """Deterministic AOT-catalog counters: bake the cpp kernel pack
+    (its spec space is fixed, so the numbers are machine-independent),
+    then run PageRank in a cold child process — fresh ``PYGB_CACHE_DIR``
+    — once under ``PYGB_CATALOG`` and once without.
 
     The catalog run's compile and miss counts must be **zero** (baseline
     0 gates them hard: any new kernel the enumeration misses fails the
@@ -316,7 +319,7 @@ def _catalog_metrics() -> dict:
     from repro.jit.catalog import bake_catalog
 
     pack = tempfile.mkdtemp(prefix="pygb-bench-pack-")
-    report = bake_catalog(pack, include_cpp=False)
+    report = bake_catalog(pack)
     assert report["failed"] == [], f"pack bake failed: {report['failed'][:3]}"
 
     child = (
@@ -326,7 +329,7 @@ def _catalog_metrics() -> dict:
         "from repro.io.generators import erdos_renyi\n"
         "from repro.jit.cache import cache_statistics\n"
         f"n = {PAGERANK_N}\n"
-        "with gb.use_engine('pyjit'), gb.tiled(tiles=1):\n"
+        "with gb.use_engine('cpp'), gb.tiled(tiles=1):\n"
         "    g = erdos_renyi(n, seed=7, weighted=True, dtype=float)\n"
         "    pr = gb.Vector(shape=(n,), dtype=float)\n"
         "    pagerank(g, pr, threshold=1.0e-8)\n"

@@ -12,7 +12,7 @@ prints them as tables::
 Version definitions (paper Sec. VI):
 
 * **v1 PyGB/loops** — DSL code, Python outer loops, one JIT kernel per op
-  (``cpp`` engine when a compiler exists, else ``pyjit``);
+  (``cpp`` engine when a compiler exists, else ``interpreted``);
 * **v2 PyGB/compiled-algorithm** — Python calls the whole algorithm as a single
   JIT-compiled C++ module (wall time includes the FFI crossing);
 * **v3 native** — the same module's internal ``std::chrono`` time
@@ -206,7 +206,7 @@ def _fig10_algorithms(has_cpp: bool):
 
 def run_fig10() -> None:
     has_cpp = compiler_available()
-    v1_engine = "cpp" if has_cpp else "pyjit"
+    v1_engine = "cpp" if has_cpp else "interpreted"
     print(
         f"\nFig. 10 reproduction — v1 engine: {v1_engine};"
         f" v2/v3 {'compiled C++ modules' if has_cpp else 'native NumPy kernels'}"
@@ -296,7 +296,6 @@ def run_compile() -> None:
     import tempfile
 
     from repro.jit.cache import JitCache
-    from repro.jit.pycodegen import generate_source
     from repro.jit.spec import KernelSpec
 
     rows = []
@@ -311,30 +310,6 @@ def run_compile() -> None:
         base.update(extra)
         return KernelSpec.make("mxv", **base)
 
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = JitCache(tmp)
-        # pyjit cold: unique spec per sample
-        samples = []
-        for i in range(20):
-            t0 = time.perf_counter()
-            cache.get_module(spec(tag=1000 + i), generate_source)
-            samples.append(time.perf_counter() - t0)
-        cold = statistics.median(samples)
-        # disk hit
-        s = spec()
-        cache.get_module(s, generate_source)
-        samples = []
-        for _ in range(50):
-            cache.clear_memory()
-            t0 = time.perf_counter()
-            cache.get_module(s, generate_source)
-            samples.append(time.perf_counter() - t0)
-        disk = statistics.median(samples)
-        # memory hit
-        mem = _median_time(lambda: cache.get_module(s, generate_source), repeats=50)
-        rows.append(["pyjit", _fmt(cold), _fmt(disk), f"{mem * 1e6:.1f}us"])
-        payload["pyjit"] = {"cold": cold, "disk": disk, "memory": mem}
-
     if compiler_available():
         from repro.jit.cppcodegen import generate_cpp_source
         from repro.jit.cppengine import CppJitEngine
@@ -346,24 +321,24 @@ def run_compile() -> None:
                 t0 = time.perf_counter()
                 eng.cache.get_module(
                     spec(tag=2000 + i), generate_cpp_source,
-                    suffix=".cpp", compiler=eng._compile,
+                    compiler=eng._compile,
                 )
                 samples.append(time.perf_counter() - t0)
             cold = statistics.median(samples)
             s = spec()
-            eng.cache.get_module(s, generate_cpp_source, suffix=".cpp", compiler=eng._compile)
+            eng.cache.get_module(s, generate_cpp_source, compiler=eng._compile)
             samples = []
             for _ in range(20):
                 eng.cache.clear_memory()
                 t0 = time.perf_counter()
                 eng.cache.get_module(
-                    s, generate_cpp_source, suffix=".cpp", compiler=eng._compile
+                    s, generate_cpp_source, compiler=eng._compile
                 )
                 samples.append(time.perf_counter() - t0)
             disk = statistics.median(samples)
             mem = _median_time(
                 lambda: eng.cache.get_module(
-                    s, generate_cpp_source, suffix=".cpp", compiler=eng._compile
+                    s, generate_cpp_source, compiler=eng._compile
                 ),
                 repeats=50,
             )

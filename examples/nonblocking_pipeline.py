@@ -25,6 +25,7 @@ import numpy as np
 import repro as gb
 from repro.core.dispatch import CountingEngine, make_engine
 from repro.core.nonblocking import reset_stats, set_mode, stats
+from repro.jit.cppengine import toolchain_works
 
 N = 512
 
@@ -51,7 +52,9 @@ def run(mode: str) -> tuple[np.ndarray, int]:
     t = gb.Vector(shape=(N,), dtype=float)
     w = gb.Vector(shape=(N,), dtype=float)
 
-    engine = CountingEngine(make_engine("pyjit"))
+    # cross-statement fusion needs the fusing cpp engine; without a
+    # compiler the queue still drops the dead store and elides the copy
+    engine = CountingEngine(make_engine("cpp" if toolchain_works() else "interpreted"))
     with gb.use_engine(engine):
         if mode == "nonblocking":
             with gb.nonblocking():

@@ -19,15 +19,16 @@ Typical usage (examples in this repo write ``import repro as gb``)::
         with gb.LogicalSemiring, gb.Replace:
             frontier[~levels] = graph.T @ frontier
 
-Three execution engines implement every operation (select with
+Two execution engines implement every operation (select with
 ``gb.use_engine(...)`` or ``$PYGB_BACKEND``):
 
-* ``pyjit`` (default) — specialised Python modules generated, disk-cached
-  and imported on demand (the paper's Fig. 9 pipeline);
-* ``cpp`` — the same pipeline emitting C++ compiled by ``g++`` against a
-  bundled mini-GBTL header and loaded via ``ctypes``;
-* ``interpreted`` — per-call operator resolution, no code generation
-  (the ablation baseline).
+* ``interpreted`` (default) — per-call operator resolution over NumPy
+  kernels, no code generation (the ablation baseline and the engine of
+  hosts without a C++ compiler);
+* ``cpp`` — the paper's Fig. 9 pipeline: per-spec C++ generated,
+  compiled by ``g++`` against a bundled mini-GBTL header, disk-cached
+  and loaded via ``ctypes``; it falls back to ``interpreted`` for any
+  op it cannot compile.
 """
 
 from . import guard, io, obs, utilities

@@ -15,7 +15,7 @@
     python -m repro stats                      # per-op profile from traced runs
     python -m repro serve --graphs m.json      # multi-tenant graph query server
 
-Every command accepts ``--engine {interpreted,pyjit,cpp}``.
+Every command accepts ``--engine {interpreted,cpp}``.
 """
 
 from __future__ import annotations
@@ -120,8 +120,7 @@ def cmd_components(args) -> int:
 def cmd_engines(args) -> int:
     from .jit.cppengine import compiler_available, find_cxx_compiler
 
-    print("interpreted: available (no code generation)")
-    print("pyjit:       available (default)")
+    print("interpreted: available (default, no code generation)")
     if compiler_available():
         print(f"cpp:         available (compiler: {find_cxx_compiler()})")
     else:
@@ -170,12 +169,12 @@ def cmd_bake(args) -> int:
     from .jit.catalog import bake_catalog, validate_catalog
     from .jit.cppengine import compiler_available, find_cxx_compiler, openmp_available
 
-    if compiler_available():
-        cxx = find_cxx_compiler()
-        print(f"compiler: {cxx}")
-        print(f"OpenMP:   {'yes' if openmp_available(cxx) else 'no (serial kernels)'}")
-    else:
-        print("no C++ toolchain on PATH — baking the .py kernel flavour only")
+    if not compiler_available():
+        print("error: no C++ toolchain on PATH — nothing to bake", file=sys.stderr)
+        return 1
+    cxx = find_cxx_compiler()
+    print(f"compiler: {cxx}")
+    print(f"OpenMP:   {'yes' if openmp_available(cxx) else 'no (serial kernels)'}")
     parallel = None
     if args.serial:
         parallel = False
@@ -184,9 +183,8 @@ def cmd_bake(args) -> int:
     report = bake_catalog(args.out, parallel=parallel, max_workers=args.jobs)
     flavour = "parallel" if report["parallel"] else "serial"
     print(
-        f"baked {report['entries']} catalog entries "
-        f"({report['cpp_entries']} compiled .so [{flavour}], "
-        f"{report['py_entries']} generated .py) into {report['out']} with "
+        f"baked {report['entries']} compiled .so catalog entries "
+        f"[{flavour}] into {report['out']} with "
         f"{report['jobs']} concurrent jobs in {report['seconds']:.2f}s"
     )
     print(
@@ -282,7 +280,7 @@ def cmd_doctor(args) -> int:
     cxx = find_cxx_compiler()
     print("PyGB engine health")
     if cxx is None:
-        print("compiler:        none — cpp engine unavailable, pyjit serves instead")
+        print("compiler:        none — cpp engine unavailable, interpreted serves instead")
     elif not toolchain_works(cxx):
         print(
             f"compiler:        {cxx} — BROKEN (probe compile failed); "
@@ -477,8 +475,8 @@ def main(argv=None) -> int:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
-        "--engine", choices=["interpreted", "pyjit", "cpp"], default=None,
-        help="execution engine (default: $PYGB_BACKEND or pyjit)",
+        "--engine", choices=["interpreted", "cpp"], default=None,
+        help="execution engine (default: $PYGB_BACKEND or interpreted)",
     )
     parser.add_argument(
         "--mode", choices=["blocking", "nonblocking"], default=None,
@@ -603,7 +601,11 @@ def main(argv=None) -> int:
     if args.engine:
         from .core.context import use_engine
 
+        # use_engine raises eagerly when the engine cannot be built; the
+        # environment makes it the default of every thread, including the
+        # service's admission workers
         use_engine(args.engine)
+        os.environ["PYGB_BACKEND"] = args.engine
     if args.mode:
         from .core.nonblocking import set_mode
 

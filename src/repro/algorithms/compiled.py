@@ -61,7 +61,6 @@ class _AlgoRunner:
         artifact = default_cache().get_module(
             spec,
             generate_algorithm_source,
-            suffix=".cpp",
             compiler=self._engine.compiler_for(spec),
         )
         key = str(artifact)

@@ -3,8 +3,7 @@
 Every operator the DSL can reference is defined here once, with three
 realizations:
 
-* a NumPy callable used by the vectorised backend and by the generated
-  Python JIT modules,
+* a NumPy callable used by the vectorised (interpreted) backend,
 * a C++ expression template used by the C++ JIT backend (the analog of the
   ``-DADD_BINOP=Plus`` defines in the paper's Fig. 9),
 * identity elements for the monoid-forming operators, as dtype-dependent
@@ -44,16 +43,23 @@ __all__ = [
 
 
 def _c_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Division with C++ semantics: true division for floats, division
-    truncated toward zero for integers (NumPy's ``//`` floors instead)."""
+    """Division with the C++ engine's ``GB::Div`` semantics: true division
+    for floats; for integers, exact division truncated toward zero (NumPy's
+    ``//`` floors instead) with 0 for a zero divisor."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if np.issubdtype(np.result_type(a, b), np.floating):
+    rt = np.result_type(a, b)
+    if rt.kind in "fc":
         return np.true_divide(a, b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.true_divide(a, b)
-    q = np.nan_to_num(q, nan=0.0, posinf=0.0, neginf=0.0)
-    return np.trunc(q).astype(np.result_type(a, b))
+    if rt.kind == "b":
+        return _c_div(a.astype(np.uint8), b.astype(np.uint8)).astype(bool)
+    a = a.astype(rt, copy=False)
+    b = b.astype(rt, copy=False)
+    with np.errstate(divide="ignore", over="ignore"):
+        q = np.floor_divide(a, b)  # MIN // -1 wraps, like GB::Div
+        inexact = np.remainder(a, b) != 0
+    q = q + (inexact & ((a < 0) != (b < 0))).astype(rt)
+    return np.where(b == 0, rt.type(0), q)
 
 
 def _first(a, b):
@@ -128,8 +134,15 @@ BINARY_OPS: dict[str, BinaryOpDef] = {
         BinaryOpDef("Minus", np.subtract, "(({a}) - ({b}))", "arith", None),
         BinaryOpDef("Times", np.multiply, "(({a}) * ({b}))", "arith", np.multiply),
         BinaryOpDef("Div", _c_div, "(({b}) == 0 ? T(0) : T(({a}) / ({b})))", "arith", None),
-        BinaryOpDef("Min", np.minimum, "((({a}) < ({b})) ? ({a}) : ({b}))", "arith", np.minimum),
-        BinaryOpDef("Max", np.maximum, "((({a}) > ({b})) ? ({a}) : ({b}))", "arith", np.maximum),
+        # NaN in either position propagates, like np.minimum/np.maximum
+        BinaryOpDef(
+            "Min", np.minimum, "((({a}) != ({a}) || ({a}) < ({b})) ? ({a}) : ({b}))",
+            "arith", np.minimum,
+        ),
+        BinaryOpDef(
+            "Max", np.maximum, "((({a}) != ({a}) || ({a}) > ({b})) ? ({a}) : ({b}))",
+            "arith", np.maximum,
+        ),
         BinaryOpDef("First", _first, "({a})", "select", None),
         BinaryOpDef("Second", _second, "({b})", "select", None),
         BinaryOpDef(

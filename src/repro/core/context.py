@@ -100,28 +100,28 @@ def replace_active() -> bool:
 
 
 # ----------------------------------------------------------------------
-# execution-engine selection (interpreted / Python JIT / C++ JIT)
+# execution-engine selection (interpreted / C++ JIT)
 # ----------------------------------------------------------------------
 
 _engine_state = threading.local()
 
 
 def _default_engine_name() -> str:
-    return os.environ.get("PYGB_BACKEND", "pyjit")
+    return os.environ.get("PYGB_BACKEND", "interpreted")
 
 
 #: where an *environment-selected* engine degrades to when it cannot even
 #: be constructed (e.g. ``PYGB_BACKEND=cpp`` on a machine with no
 #: compiler).  An engine requested explicitly through :func:`use_engine`
 #: never degrades — that is a configuration error and raises eagerly.
-_ENGINE_DEGRADATION = {"cpp": "pyjit"}
+_ENGINE_DEGRADATION = {"cpp": "interpreted"}
 
 
 def current_backend_engine():
     """The engine executing GraphBLAS operations for this thread.
 
-    Resolved lazily from ``$PYGB_BACKEND`` (``interpreted``, ``pyjit`` —
-    the default — or ``cpp``); override per-scope with :func:`use_engine`.
+    Resolved lazily from ``$PYGB_BACKEND`` (``interpreted`` — the
+    default — or ``cpp``); override per-scope with :func:`use_engine`.
     When the env-selected engine is unavailable on this machine (no C++
     toolchain) the thread degrades to the next engine down with a warning
     instead of failing the first operation — unless ``PYGB_JIT_STRICT``

@@ -1,23 +1,20 @@
 """Execution-engine abstraction — the paper's Fig. 9 dispatch stage.
 
 Every DSL operation funnels through an *engine* exposing one method per
-GraphBLAS operation on backend containers.  Three engines implement the
+GraphBLAS operation on backend containers.  Two engines implement the
 interface:
 
-``interpreted``
+``interpreted``  (default)
     Calls :mod:`repro.backend.kernels` directly, resolving operator names
     through the operator table on **every** call.  This is the "union
-    type / generic interpreter" design the paper rejects in Sec. V, kept
-    here as the ablation baseline.
-``pyjit``  (default)
-    The Fig. 9 pipeline with Python code generation: on first use of an
-    ``(operation, dtypes, operators, flags)`` combination a specialised
-    module is generated, written to the disk cache, and dynamically
-    imported; later calls hit the in-memory module cache.
+    type / generic interpreter" design the paper rejects in Sec. V; it
+    serves hosts without a C++ compiler and is the oracle the
+    differential tests compare against.
 ``cpp``
-    Identical pipeline, but the generated module is a C++ translation
-    unit compiled with ``g++`` against the bundled mini-GBTL header and
-    loaded through ``ctypes`` — the paper's actual design.
+    The Fig. 9 pipeline: on first use of an ``(operation, dtypes,
+    operators, flags)`` combination a C++ translation unit is generated,
+    compiled with ``g++`` against the bundled mini-GBTL header, cached on
+    disk and loaded through ``ctypes`` — the paper's actual design.
 """
 
 from __future__ import annotations
@@ -197,13 +194,12 @@ _DISPATCH_METHODS = frozenset(
 
 
 class ResilientEngine:
-    """Fallback chain around the JIT engines: no compile/load failure may
+    """Fallback chain around the cpp engine: no compile/load failure may
     break a program the interpreter could run.
 
-    Wraps an ordered engine chain (``cpp → pyjit → interpreted`` or
-    ``pyjit → interpreted``).  A dispatch method that raises
-    :class:`CompilationError` (including the quarantine fast-fail),
-    :class:`BackendUnavailable`, or a runtime
+    Wraps an ordered engine chain (``cpp → interpreted``).  A dispatch
+    method that raises :class:`CompilationError` (including the
+    quarantine fast-fail), :class:`BackendUnavailable`, or a runtime
     :class:`KernelExecutionError` on one engine is retried verbatim on
     the next; the per-spec circuit breaker lives below, in the engines'
     module-retrieval step, so retries after the first failure skip the
@@ -744,7 +740,7 @@ class PartitionedEngine:
 
 
 def make_engine(name: str):
-    """Instantiate an engine by name (``interpreted``, ``pyjit``, ``cpp``).
+    """Instantiate an engine by name (``interpreted`` or ``cpp``).
 
     Every engine comes wrapped in the :class:`PartitionedEngine` tiled
     data plane (inert until ``$PYGB_TILES``/``gb.tiled`` ask for tiles)
@@ -752,10 +748,10 @@ def make_engine(name: str):
     (:class:`~repro.guard.GuardedEngine`, inert until a
     ``gb.deadline(...)`` scope or ``$PYGB_OP_TIMEOUT`` arms it) — with
     tracing on, the full stack is
-    ``Tracing(Guard(Partitioned(Resilient(jit))))``.  Both wrappers stay
+    ``Tracing(Guard(Partitioned(Resilient(cpp))))``.  Both wrappers stay
     outside the per-dispatch hot path the overhead guards measure.
-    The JIT engines additionally sit in the :class:`ResilientEngine`
-    fallback chain unless ``$PYGB_JIT_STRICT`` is set; ``cpp`` still raises
+    The cpp engine additionally sits in the :class:`ResilientEngine`
+    fallback chain unless ``$PYGB_JIT_STRICT`` is set; it still raises
     :class:`BackendUnavailable` **eagerly** when no compiler exists —
     an explicitly requested engine that can never work is a configuration
     error, not a degradation case.
@@ -765,27 +761,15 @@ def make_engine(name: str):
 
     if name == "interpreted":
         return GuardedEngine(PartitionedEngine(InterpretedEngine()))
-    if name == "pyjit":
-        from ..jit.pyengine import PyJitEngine
-
-        engine = PyJitEngine()
-        if jit_strict():
-            return GuardedEngine(PartitionedEngine(engine))
-        return GuardedEngine(
-            PartitionedEngine(ResilientEngine([engine, InterpretedEngine()]))
-        )
     if name == "cpp":
         from ..jit.cppengine import CppJitEngine
-        from ..jit.pyengine import PyJitEngine
 
         engine = CppJitEngine()
         if jit_strict():
             return GuardedEngine(PartitionedEngine(engine))
         return GuardedEngine(
-            PartitionedEngine(
-                ResilientEngine([engine, PyJitEngine(engine.cache), InterpretedEngine()])
-            )
+            PartitionedEngine(ResilientEngine([engine, InterpretedEngine()]))
         )
     raise BackendUnavailable(
-        f"unknown engine {name!r}; valid: interpreted, pyjit, cpp"
+        f"unknown engine {name!r}; valid: interpreted, cpp"
     )

@@ -18,8 +18,8 @@ The engine stack becomes ``Tracing(Guard(Partitioned(Resilient(...))))``:
   thread arms one timer per guarded op; expiry flips the cooperative
   cancellation signals and the op raises a catchable
   :class:`~repro.exceptions.OperationTimeout` carrying op/engine/elapsed.
-* Cancellation is **cooperative** at every layer: pyjit kernels call
-  :func:`check_cancelled` on entry, the tile executor checks between
+* Cancellation is **cooperative** at every layer: every guarded
+  dispatch checks its scope on entry, the tile executor checks between
   tiles and bounds its future waits, and C++ kernels poll an atomic flag
   exported over the FFI boundary (``pygb_request_cancel`` /
   ``pygb_cancel_requested`` externs; the kernel returns the ``-2``
@@ -77,7 +77,7 @@ DEFAULT_WORKER_TIMEOUT = 60.0
 _TLS = threading.local()
 
 #: number of currently armed guards, process-wide.  ``check_cancelled``
-#: (called from every pyjit kernel and between tiles) returns on a single
+#: (called between tiles and from cooperative sleeps) returns on a single
 #: global read when nothing is armed; only the guarded slow path touches
 #: it, under the watchdog lock.
 _ACTIVE = 0
@@ -368,7 +368,7 @@ class bound_op:
 def check_cancelled() -> None:
     """Cooperative checkpoint: raise ``OperationCancelled`` when the
     current op's scope was cancelled or its deadline has passed.  Called
-    from generated pyjit kernels and between tiles; a single global read
+    between tiles and from cooperative sleeps; a single global read
     when no guard is armed anywhere in the process."""
     if not _ACTIVE:
         return

@@ -16,8 +16,6 @@ with the *module retrieval* stage owned by this package:
 * :mod:`~repro.jit.catalog` — the AOT kernel catalog: ``repro bake``
   compiles the hot spec space into a redistributable pack that
   ``$PYGB_CATALOG`` serves without any inline compilation;
-* :mod:`~repro.jit.pycodegen` / :mod:`~repro.jit.pyengine` — specialised
-  *Python* kernel modules (portable default);
 * :mod:`~repro.jit.gbtl_lite` / :mod:`~repro.jit.cppcodegen` /
   :mod:`~repro.jit.cppengine` — per-spec C++ binding files compiled with
   ``g++`` against a bundled mini-GBTL template header and loaded through
@@ -32,7 +30,6 @@ from .catalog import (
     bake_catalog,
     catalog_kernel_specs,
     load_catalog,
-    pyjit_kernel_specs,
     validate_catalog,
 )
 from .precompile import algorithm_kernel_specs, algorithm_module_specs, warm_cache
@@ -51,6 +48,5 @@ __all__ = [
     "bake_catalog",
     "catalog_kernel_specs",
     "load_catalog",
-    "pyjit_kernel_specs",
     "validate_catalog",
 ]

@@ -3,9 +3,9 @@
 The paper's ``get_module`` checks an in-memory dict, then the filesystem,
 and only then invokes the compiler; compiled binaries persist on disk so
 "the cost of compiling the code can be amortized over future runs of the
-same code".  :class:`JitCache` reproduces that lookup order for both the
-Python and the C++ code generators and counts every outcome, which is
-what the compilation-time experiment (EXPERIMENTS.md) reports.
+same code".  :class:`JitCache` reproduces that lookup order for the
+compiled C++ shared objects and counts every outcome, which is what the
+compilation-time experiment (EXPERIMENTS.md) reports.
 
 Locking is per spec, not global: two threads racing on the *same* spec
 dedupe into one compile, while different specs generate and compile
@@ -31,10 +31,8 @@ defends itself (the resilience layer's "cache integrity" half):
 from __future__ import annotations
 
 import hashlib
-import importlib.util
 import json
 import os
-import sys
 import tempfile
 import threading
 import time
@@ -44,7 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .. import obs
-from ..exceptions import CompilationError, JitFallbackWarning
+from ..exceptions import JitFallbackWarning
 from .health import EngineHealth
 from .spec import KernelSpec
 
@@ -64,6 +62,8 @@ __all__ = [
 CACHE_FORMAT_VERSION = 1
 
 _FORMAT_STAMP = "CACHE_FORMAT"
+#: the one artifact kind: a compiled shared object
+_KIND = ".so"
 #: orphaned .tmp files whose writer pid cannot be determined are only
 #: swept once they are this old (an active writer replaces its .tmp
 #: within seconds)
@@ -115,7 +115,6 @@ class CacheStatistics:
     catalog_misses: int = 0
     generate_seconds: float = 0.0
     compile_seconds: float = 0.0
-    import_seconds: float = 0.0
     per_func: dict = field(default_factory=dict)
     #: compile/load failures recorded against any engine
     jit_failures: int = 0
@@ -135,7 +134,6 @@ class CacheStatistics:
             "catalog_misses": self.catalog_misses,
             "generate_seconds": self.generate_seconds,
             "compile_seconds": self.compile_seconds,
-            "import_seconds": self.import_seconds,
             "per_func": dict(self.per_func),
             "jit_failures": self.jit_failures,
             "fallbacks": self.fallbacks,
@@ -146,7 +144,7 @@ class CacheStatistics:
     def reset(self) -> None:
         self.memory_hits = self.disk_hits = self.compiles = 0
         self.catalog_hits = self.catalog_misses = 0
-        self.generate_seconds = self.compile_seconds = self.import_seconds = 0.0
+        self.generate_seconds = self.compile_seconds = 0.0
         self.per_func.clear()
         self.jit_failures = self.fallbacks = 0
         self.integrity_rebuilds = self.tmp_swept = 0
@@ -178,7 +176,7 @@ class JitCache:
 
     Writers produce the artifact under a temporary name and ``os.replace``
     it into place, so concurrent processes racing to compile the same spec
-    each end up importing a complete file.
+    each end up loading a complete file.
     """
 
     def __init__(self, cache_dir: str | os.PathLike | None = None):
@@ -187,10 +185,10 @@ class JitCache:
         self.relocated = False
         requested = Path(cache_dir) if cache_dir is not None else _default_cache_dir()
         self.cache_dir = self._prepare_dir(requested)
-        self._modules: dict[tuple[str, str], object] = {}
+        self._modules: dict[str, Path] = {}
         # guards _modules, _key_locks and stats; never held across a compile
         self._lock = threading.Lock()
-        self._key_locks: dict[tuple[str, str], threading.Lock] = {}
+        self._key_locks: dict[str, threading.Lock] = {}
         self._check_format_stamp()
         self.stats.tmp_swept = self._sweep_orphaned_tmp()
         #: AOT kernel pack consulted between the memory and disk tiers
@@ -356,148 +354,101 @@ class JitCache:
         if obs.ACTIVE:
             obs.record_event("fallback", "cache")
 
-    def invalidate(self, spec: KernelSpec, kind: str) -> None:
-        """Forget *spec*'s artifact of *kind* everywhere (memory entry,
-        disk file, manifest) so the next lookup rebuilds it — the engines
-        call this when a checksum-clean artifact still fails to load."""
+    def invalidate(self, spec: KernelSpec) -> None:
+        """Forget *spec*'s artifact everywhere (memory entry, disk file,
+        manifest) so the next lookup rebuilds it — the engines call this
+        when a checksum-clean artifact still fails to load."""
         with self._lock:
-            self._modules.pop((spec.key_hash, kind), None)
+            self._modules.pop(spec.key_hash, None)
             self.stats.integrity_rebuilds += 1
         if obs.ACTIVE:
-            obs.record_event("integrity_rebuild", "cache", spec=spec.key, kind=kind)
+            obs.record_event("integrity_rebuild", "cache", spec=spec.key, kind=_KIND)
         if self.catalog is not None:
             # the pack artifact itself is never deleted (packs may be
             # read-only); quarantining the entry makes the next lookup
             # fall through to a fresh compile instead
-            self.catalog.quarantine(spec.key_hash, kind)
-        self._discard_artifact(self.cache_dir / f"{spec.module_stem}{kind}")
+            self.catalog.quarantine(spec.key_hash, _KIND)
+        self._discard_artifact(self.cache_dir / f"{spec.module_stem}{_KIND}")
 
     # ------------------------------------------------------------------
-    def get_module(self, spec: KernelSpec, generate, suffix: str = ".py", compiler=None):
-        """The paper's ``get_module``: return the loaded module for
-        *spec*, generating (and optionally *compiler*-ing) it on a miss.
+    def get_module(self, spec: KernelSpec, generate, compiler):
+        """The paper's ``get_module``: return the path of the compiled
+        shared object for *spec*, generating and compiling it on a miss.
 
-        ``generate(spec) -> str`` produces source text; for C++ specs
-        ``compiler(src_path, out_path)`` turns it into a shared object and
-        the import step is replaced by the engine's ``ctypes`` loader
-        (in which case the returned object is whatever *compiler* loads).
+        ``generate(spec) -> str`` produces the C++ source text;
+        ``compiler(src_path, out_path)`` turns it into the ``.so``.  The
+        engines load the returned path through ``ctypes`` themselves.
 
         Thread-safe with per-spec granularity: a miss only blocks callers
         of the *same* spec while it generates/compiles; other specs
         proceed concurrently.
         """
-        return self._get_module(spec, generate, suffix, compiler)[0]
+        return self._get_module(spec, generate, compiler)[0]
 
-    def _try_catalog(self, spec: KernelSpec, kind: str, compiler):
-        """The pack tier: the entry's artifact served straight from the
-        catalog directory (no copy — packs may be read-only).  Returns
-        the loaded module or ``None`` to fall through to disk/compile.
-        Only consulted (and only counted) when a catalog is attached."""
-        entry = self.catalog.entry(spec.key_hash, kind)
-        mod = None
+    def _try_catalog(self, spec: KernelSpec):
+        """The pack tier: the entry's artifact path served straight from
+        the catalog directory (no copy — packs may be read-only).
+        Returns ``None`` to fall through to disk/compile.  Only consulted
+        (and only counted) when a catalog is attached."""
+        entry = self.catalog.entry(spec.key_hash, _KIND)
+        path = None
         reason = "absent"
         if entry is not None:
             if self.catalog.verify(entry):
                 path = self.catalog.artifact_path(entry)
-                if compiler is not None:
-                    mod = path  # engines wrap the .so path in ctypes themselves
-                else:
-                    try:
-                        mod = self._import_py(path, spec)
-                    except CompilationError:
-                        # quarantine, fall through to the normal build
-                        self.catalog.quarantine(spec.key_hash, kind)
-                        reason = "import_failed"
             else:
                 reason = "checksum"
         with self._lock:
-            if mod is not None:
+            if path is not None:
                 self.stats.catalog_hits += 1
             else:
                 self.stats.catalog_misses += 1
         if obs.ACTIVE:
-            if mod is not None:
-                obs.record_event("catalog_hit", "cache", spec=spec.key, kind=kind)
+            if path is not None:
+                obs.record_event("catalog_hit", "cache", spec=spec.key, kind=_KIND)
             else:
                 obs.record_event(
-                    "catalog_miss", "cache", spec=spec.key, kind=kind, reason=reason
+                    "catalog_miss", "cache", spec=spec.key, kind=_KIND, reason=reason
                 )
-        return mod
+        return path
 
-    def _get_module(self, spec: KernelSpec, generate, suffix: str = ".py", compiler=None):
-        """:meth:`get_module` plus the lookup outcome — ``(module, one of
+    def _get_module(self, spec: KernelSpec, generate, compiler):
+        """:meth:`get_module` plus the lookup outcome — ``(path, one of
         "memory" | "catalog" | "disk" | "compiled")`` — so
         :meth:`precompile` can attribute results to its own jobs instead
         of diffing the global counters."""
-        # the same spec may exist as a Python module AND a compiled shared
-        # object (the engines share one cache), so the artifact kind is
-        # part of the memory key
-        kind = ".so" if compiler else suffix
-        key = (spec.key_hash, kind)
+        key = spec.key_hash
         with self._lock:
-            mod = self._modules.get(key)
-            if mod is not None:
+            path = self._modules.get(key)
+            if path is not None:
                 self.stats.memory_hits += 1
                 if obs.ACTIVE:
-                    obs.record_event("memory_hit", "cache", spec=spec.key, kind=kind)
-                return mod, "memory"
+                    obs.record_event("memory_hit", "cache", spec=spec.key, kind=_KIND)
+                return path, "memory"
             key_lock = self._key_locks.setdefault(key, threading.Lock())
         with key_lock:
             # a racer on the same spec may have built it while we waited
             with self._lock:
-                mod = self._modules.get(key)
-                if mod is not None:
+                path = self._modules.get(key)
+                if path is not None:
                     self.stats.memory_hits += 1
                     if obs.ACTIVE:
-                        obs.record_event("memory_hit", "cache", spec=spec.key, kind=kind)
-                    return mod, "memory"
+                        obs.record_event("memory_hit", "cache", spec=spec.key, kind=_KIND)
+                    return path, "memory"
             if self.catalog is not None:
-                mod = self._try_catalog(spec, kind, compiler)
-                if mod is not None:
+                path = self._try_catalog(spec)
+                if path is not None:
                     with self._lock:
-                        self._modules[key] = mod
+                        self._modules[key] = path
                         self._key_locks.pop(key, None)
-                    return mod, "catalog"
-            artifact = self.cache_dir / f"{spec.module_stem}{kind}"
-
-            def build() -> None:
-                t0 = time.perf_counter()
-                source = generate(spec)
-                generate_s = time.perf_counter() - t0
-                src_path = self.cache_dir / f"{spec.module_stem}{suffix}"
-                self._atomic_write(src_path, source)
-                compile_s = 0.0
-                if compiler is not None:
-                    t0c = time.perf_counter()
-                    try:
-                        compiler(src_path, artifact)
-                    except Exception:
-                        # leave nothing half-usable behind for later lookups
-                        self._discard_artifact(artifact)
-                        raise
-                    compile_s = time.perf_counter() - t0c
-                self._write_manifest(spec, src_path, artifact)
-                with self._lock:
-                    self.stats.generate_seconds += generate_s
-                    self.stats.compile_seconds += compile_s
-                    self.stats.compiles += 1
-                    self.stats.per_func[spec.func] = self.stats.per_func.get(spec.func, 0) + 1
-                if obs.ACTIVE:
-                    obs.record_event(
-                        "compile",
-                        "cache",
-                        spec=spec.key,
-                        kind=kind,
-                        generate_ms=round(generate_s * 1e3, 3),
-                        compile_ms=round(compile_s * 1e3, 3),
-                    )
-
+                    return path, "catalog"
+            artifact = self.cache_dir / f"{spec.module_stem}{_KIND}"
             built_now = False
             if artifact.exists() and self._artifact_intact(artifact):
                 with self._lock:
                     self.stats.disk_hits += 1
                 if obs.ACTIVE:
-                    obs.record_event("disk_hit", "cache", spec=spec.key, kind=kind)
+                    obs.record_event("disk_hit", "cache", spec=spec.key, kind=_KIND)
             else:
                 if artifact.exists():
                     # truncated/corrupt leftover (killed compile, disk
@@ -507,48 +458,55 @@ class JitCache:
                         self.stats.integrity_rebuilds += 1
                     if obs.ACTIVE:
                         obs.record_event(
-                            "integrity_rebuild", "cache", spec=spec.key, kind=kind
+                            "integrity_rebuild", "cache", spec=spec.key, kind=_KIND
                         )
-                build()
+                self._build(spec, generate, compiler, artifact)
                 built_now = True
-            t0 = time.perf_counter()
-            if compiler is not None:
-                mod = artifact  # engines wrap the .so path in ctypes themselves
-            else:
-                try:
-                    mod = self._import_py(artifact, spec)
-                except CompilationError:
-                    if built_now:
-                        raise  # freshly generated and still broken: codegen bug
-                    # checksum-clean disk artifact that won't import
-                    # (e.g. manifest and file corrupted together):
-                    # invalidate and rebuild exactly once
-                    self._discard_artifact(artifact)
-                    with self._lock:
-                        self.stats.integrity_rebuilds += 1
-                    if obs.ACTIVE:
-                        obs.record_event(
-                            "integrity_rebuild", "cache", spec=spec.key, kind=kind
-                        )
-                    build()
-                    mod = self._import_py(artifact, spec)
-            import_s = time.perf_counter() - t0
             with self._lock:
-                self.stats.import_seconds += import_s
-                self._modules[key] = mod
-                # once the module is resident every future lookup returns
+                self._modules[key] = artifact
+                # once the artifact is resident every future lookup returns
                 # from the memory tier above, so the per-key lock has done
                 # its job — drop it (a long-running service dispatches
                 # unboundedly many distinct specs; bake enumerates
                 # hundreds in one process)
                 self._key_locks.pop(key, None)
-            return mod, ("compiled" if built_now else "disk")
+            return artifact, ("compiled" if built_now else "disk")
+
+    def _build(self, spec: KernelSpec, generate, compiler, artifact: Path) -> None:
+        t0 = time.perf_counter()
+        source = generate(spec)
+        generate_s = time.perf_counter() - t0
+        src_path = self.cache_dir / f"{spec.module_stem}.cpp"
+        self._atomic_write(src_path, source)
+        t0c = time.perf_counter()
+        try:
+            compiler(src_path, artifact)
+        except Exception:
+            # leave nothing half-usable behind for later lookups
+            self._discard_artifact(artifact)
+            raise
+        compile_s = time.perf_counter() - t0c
+        self._write_manifest(spec, src_path, artifact)
+        with self._lock:
+            self.stats.generate_seconds += generate_s
+            self.stats.compile_seconds += compile_s
+            self.stats.compiles += 1
+            self.stats.per_func[spec.func] = self.stats.per_func.get(spec.func, 0) + 1
+        if obs.ACTIVE:
+            obs.record_event(
+                "compile",
+                "cache",
+                spec=spec.key,
+                kind=_KIND,
+                generate_ms=round(generate_s * 1e3, 3),
+                compile_ms=round(compile_s * 1e3, 3),
+            )
 
     # ------------------------------------------------------------------
     def precompile(self, jobs, max_workers: int | None = None) -> dict:
         """Build many specs concurrently (the non-blocking compile path).
 
-        *jobs* is an iterable of ``(spec, generate, suffix, compiler)``
+        *jobs* is an iterable of ``(spec, generate, compiler)``
         tuples — the same arguments :meth:`get_module` takes.  Each job
         runs through the normal lookup (so warm artifacts are hits, not
         rebuilds) on a thread pool; per-spec locking means distinct specs
@@ -574,8 +532,8 @@ class JitCache:
         if jobs:
             with ThreadPoolExecutor(max_workers=workers, thread_name_prefix="pygb-jit") as pool:
                 futures = {
-                    pool.submit(self._get_module, spec, generate, suffix, compiler): spec
-                    for spec, generate, suffix, compiler in jobs
+                    pool.submit(self._get_module, spec, generate, compiler): spec
+                    for spec, generate, compiler in jobs
                 }
                 for fut in as_completed(futures):
                     spec = futures[fut]
@@ -598,21 +556,6 @@ class JitCache:
         tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
         tmp.write_text(text)
         os.replace(tmp, path)
-
-    def _import_py(self, path: Path, spec: KernelSpec):
-        name = f"_pygb_jit.{spec.module_stem}"
-        loader_spec = importlib.util.spec_from_file_location(name, path)
-        if loader_spec is None or loader_spec.loader is None:
-            raise CompilationError(f"cannot import generated module {path}")
-        module = importlib.util.module_from_spec(loader_spec)
-        sys.modules[name] = module
-        try:
-            loader_spec.loader.exec_module(module)
-        except Exception as exc:  # surface codegen bugs with the file kept
-            raise CompilationError(
-                f"generated module {path} failed to import: {exc}"
-            ) from exc
-        return module
 
     def clear_memory(self) -> None:
         """Forget loaded modules (disk artifacts stay — next lookup is a

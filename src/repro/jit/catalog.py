@@ -50,7 +50,6 @@ __all__ = [
     "CATALOG_SCHEMA_VERSION",
     "KernelCatalog",
     "catalog_kernel_specs",
-    "pyjit_kernel_specs",
     "bake_catalog",
     "validate_catalog",
     "load_catalog",
@@ -159,8 +158,10 @@ def _reduction_grid(parallel: bool) -> list[KernelSpec]:
 def _elementwise_grid(parallel: bool) -> list[KernelSpec]:
     """The hot non-semiring companions every algorithm-shaped loop
     dispatches between its mxv/vxm steps: vector eWise combine, the
-    scalar-bound apply (PageRank's damping multiply), and whole-container
-    scalar reductions (convergence checks, sums)."""
+    scalar-bound apply (PageRank's damping multiply), the same-dtype
+    matrix copy ``m[None] = graph`` (PageRank's first statement on a
+    float graph), and whole-container scalar reductions (convergence
+    checks, sums)."""
     from ..backend.ops_table import binary_result_dtype
     from .cppcodegen import PARALLEL_FUNCS
 
@@ -175,6 +176,8 @@ def _elementwise_grid(parallel: bool) -> list[KernelSpec]:
         for op in ("Times", "Plus"):
             shapes.append(("apply_vec", dict(a=d, c=d, form="bind", op=op,
                                              side="second", **_UNMASKED)))
+        shapes.append(("apply_mat", dict(a=d, c=d, form="unary", op="Identity",
+                                         side="none", **_UNMASKED)))
         for func in ("reduce_mat_scalar", "reduce_vec_scalar"):
             for op in ("Plus", "Min", "Max"):
                 shapes.append((func, dict(a=d, op=op)))
@@ -252,55 +255,6 @@ def catalog_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
     )
 
 
-#: the pyjit engine keeps transposition inside the generated kernel, so
-#: its specs carry ``ta`` (and ``tb``) flags the cpp engine resolves by
-#: pre-transposing the operand instead (cppengine transposes, pyengine
-#: specialises) — mirror that when baking the .py flavour
-_PYJIT_TA_FUNCS = frozenset({
-    "mxv", "vxm", "apply_mat", "reduce_rows", "select_mat", "extract_mat",
-    "assign_mat", "mxv_apply", "vxm_apply",
-})
-_PYJIT_TATB_FUNCS = frozenset({
-    "mxm", "ewise_add_mat", "ewise_mult_mat", "kronecker",
-    "ewise_add_mat_apply", "ewise_mult_mat_apply", "mxm_reduce_rows",
-})
-
-
-def pyjit_kernel_specs() -> list[KernelSpec]:
-    """The catalog spec space as the *pyjit* engine would key it: the
-    same enumeration re-shaped with the pyjit-only ``ta``/``tb`` params,
-    restricted to funcs the Python code generator covers.  Traversal
-    funcs additionally get the transposed variant (``A.T @ u`` /
-    ``L @ U.T`` — reverse-edge walks and triangle counting), which the
-    cpp engine needs no extra kernel for (it pre-transposes)."""
-    from .pycodegen import GENERATORS
-
-    specs = []
-    for spec in catalog_kernel_specs(parallel=False):
-        if spec.func not in GENERATORS:
-            continue
-        params = dict(spec.params)
-        if spec.func in _PYJIT_TA_FUNCS:
-            params.setdefault("ta", "0")
-        elif spec.func in _PYJIT_TATB_FUNCS:
-            params.setdefault("ta", "0")
-            params.setdefault("tb", "0")
-        specs.append(KernelSpec.make(spec.func, **params))
-        if spec.func in ("mxv", "vxm"):
-            specs.append(KernelSpec.make(spec.func,
-                                         **dict(params, ta="1")))
-        elif spec.func == "mxm":
-            specs.append(KernelSpec.make(spec.func,
-                                         **dict(params, tb="1")))
-    # pyjit runs the float->float identity cast the cpp engine traced as
-    # int64 input (the engines promote dtypes at different points)
-    specs.append(KernelSpec.make(
-        "apply_mat", a="float64", c="float64", form="unary", op="Identity",
-        side="none", ta=False, **_UNMASKED,
-    ))
-    return _dedup(specs)
-
-
 # ----------------------------------------------------------------------
 # the catalog object (read side)
 # ----------------------------------------------------------------------
@@ -308,10 +262,9 @@ class KernelCatalog:
     """A loaded, version-checked ``catalog.json``.
 
     Entry lookups are by ``(key_hash, kind)`` where *kind* is the
-    artifact suffix (``.so`` for compiled shared objects, ``.py`` for
-    generated Python modules).  Checksums are verified lazily on first
-    use of each entry and the verdict memoized; a failing entry is
-    quarantined so later lookups miss immediately.
+    artifact suffix (``.so``, the only kind baked).  Checksums are
+    verified lazily on first use of each entry and the verdict memoized;
+    a failing entry is quarantined so later lookups miss immediately.
     """
 
     def __init__(self, root: Path, data: dict):
@@ -417,8 +370,6 @@ def bake_catalog(
     out_dir: str | os.PathLike,
     parallel: bool | None = None,
     max_workers: int | None = None,
-    include_pyjit: bool = True,
-    include_cpp: bool = True,
 ) -> dict:
     """Build the full catalog spec space into *out_dir* and write
     ``catalog.json``.
@@ -429,53 +380,44 @@ def bake_catalog(
     cache's usual sidecar manifest — the catalog's per-entry sha256 is
     read back from those manifests rather than hashed twice.
 
-    Without a C++ toolchain the cpp flavour is skipped with a note in
-    the report; the ``.py`` flavour (*include_pyjit*) always bakes, so
-    toolchain-free hosts can still produce packs that accelerate the
-    pyjit engine.  Failures are collected per spec, not raised.
+    Without a C++ toolchain nothing is baked and the report says why
+    (``cpp_skipped``).  Failures are collected per spec, not raised.
     """
-    from .pycodegen import generate_source
-
     out_dir = Path(out_dir)
     cache = JitCache(out_dir)
     if cache.relocated:
         raise CatalogError(f"catalog output directory {out_dir} is not writable")
 
     jobs = []
-    cpp_specs: list[KernelSpec] = []
+    specs: list[KernelSpec] = []
     cpp_skipped = None
-    if include_cpp:
-        try:
-            from .algorithm_codegen import generate_algorithm_source
-            from .cppcodegen import generate_cpp_source
-            from .cppengine import CppJitEngine
+    try:
+        from .algorithm_codegen import generate_algorithm_source
+        from .cppcodegen import generate_cpp_source
+        from .cppengine import CppJitEngine
 
-            engine = CppJitEngine(cache)
-            if parallel is None:
-                parallel = engine.parallel_enabled()
-            kernel_specs = catalog_kernel_specs(parallel)
-            module_specs = algorithm_module_specs(parallel)
-            cpp_specs = kernel_specs + module_specs
-            for spec in kernel_specs:
-                jobs.append((spec, generate_cpp_source, ".cpp", engine.compiler_for(spec)))
-            for spec in module_specs:
-                jobs.append((spec, generate_algorithm_source, ".cpp",
-                             engine.compiler_for(spec)))
-        except BackendUnavailable as exc:
-            cpp_skipped = str(exc)
+        engine = CppJitEngine(cache)
+        if parallel is None:
+            parallel = engine.parallel_enabled()
+        kernel_specs = catalog_kernel_specs(parallel)
+        module_specs = algorithm_module_specs(parallel)
+        specs = kernel_specs + module_specs
+        for spec in kernel_specs:
+            jobs.append((spec, generate_cpp_source, engine.compiler_for(spec)))
+        for spec in module_specs:
+            jobs.append((spec, generate_algorithm_source,
+                         engine.compiler_for(spec)))
+    except BackendUnavailable as exc:
+        cpp_skipped = str(exc)
     parallel = bool(parallel)
-
-    py_specs: list[KernelSpec] = []
-    if include_pyjit:
-        py_specs = pyjit_kernel_specs()
-        jobs += [(spec, generate_source, ".py", None) for spec in py_specs]
 
     t0 = time.perf_counter()
     report = cache.precompile(jobs, max_workers=max_workers)
 
     entries = []
     missing = []
-    for spec, kind in [(s, ".so") for s in cpp_specs] + [(s, ".py") for s in py_specs]:
+    kind = ".so"
+    for spec in specs:
         artifact = out_dir / f"{spec.module_stem}{kind}"
         manifest = JitCache._manifest_path(artifact)
         try:
@@ -507,8 +449,6 @@ def bake_catalog(
     report.update(
         out=str(out_dir),
         entries=len(entries),
-        cpp_entries=sum(1 for e in entries if e["kind"] == ".so"),
-        py_entries=sum(1 for e in entries if e["kind"] == ".py"),
         missing=missing,
         parallel=parallel,
         cpp_skipped=cpp_skipped,

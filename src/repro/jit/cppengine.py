@@ -11,9 +11,10 @@ one FFI call per GraphBLAS operation, mirroring the paper's pybind-style
 boundary.
 
 Operations without a native C++ binding (the index-heavy matrix
-assign/extract forms and standalone transpose — none of which appear in
-the evaluated algorithms' hot loops) delegate to the Python JIT engine;
-the native set is ``repro.jit.cppcodegen.CPP_SUPPORTED``.
+assign/extract forms, select, Kronecker and standalone transpose — none
+of which appear in the evaluated algorithms' hot loops) delegate to the
+interpreted engine; the native set is
+``repro.jit.cppcodegen.CPP_SUPPORTED``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from ..backend.ops_table import (
     binary_result_dtype,
     identity_value,
 )
+from ..backend.kernels import OpDesc
 from ..backend.smatrix import SparseMatrix
 from ..backend.svector import SparseVector
 from ..exceptions import BackendUnavailable, CompilationError, OperationCancelled
@@ -44,7 +46,6 @@ from ..testing.faults import FAULTS
 from .cache import JitCache, default_cache
 from .cppcodegen import PARALLEL_FUNCS, generate_cpp_source
 from .gbtl_lite import GBTL_LITE_HEADER, HEADER_FILENAME
-from .pyengine import PyJitEngine, _desc_params
 from .spec import KernelSpec
 
 __all__ = [
@@ -75,6 +76,15 @@ def compile_timeout() -> float | None:
     return DEFAULT_COMPILE_TIMEOUT
 
 _I64 = np.dtype(np.int64)
+
+
+def _desc_params(desc: OpDesc) -> dict:
+    return {
+        "mask": "none" if desc.mask is None else "value",
+        "comp": desc.complement,
+        "repl": desc.replace,
+        "accum": desc.accum or "none",
+    }
 
 
 def find_cxx_compiler() -> str | None:
@@ -281,10 +291,12 @@ class CppJitEngine:
         if self.cxx is None:
             raise BackendUnavailable(
                 "the cpp engine needs a C++ compiler (g++/c++) on PATH; "
-                "set $PYGB_CXX or use the pyjit engine"
+                "set $PYGB_CXX or use the interpreted engine"
             )
+        from ..core.dispatch import InterpretedEngine
+
         self.cache = cache if cache is not None else default_cache()
-        self._fallback = PyJitEngine(self.cache)
+        self._fallback = InterpretedEngine()
         self._libs: dict[str, ctypes.CDLL] = {}
         self._libs_lock = threading.Lock()
         self._header_lock = threading.Lock()
@@ -400,7 +412,7 @@ class CppJitEngine:
 
     def _load_lib(self, spec: KernelSpec, scalar_out: bool) -> ctypes.CDLL:
         artifact = self.cache.get_module(
-            spec, generate_cpp_source, suffix=".cpp", compiler=self.compiler_for(spec)
+            spec, generate_cpp_source, compiler=self.compiler_for(spec)
         )
         key = str(artifact)
         with self._libs_lock:
@@ -413,10 +425,9 @@ class CppJitEngine:
             # a truncated or corrupt shared object that slipped past the
             # manifest checksum (or an injected dlopen fault): invalidate
             # the artifact, recompile once, then give up on this engine
-            self.cache.invalidate(spec, ".so")
+            self.cache.invalidate(spec)
             artifact = self.cache.get_module(
-                spec, generate_cpp_source, suffix=".cpp",
-                compiler=self.compiler_for(spec),
+                spec, generate_cpp_source, compiler=self.compiler_for(spec),
             )
             try:
                 lib = self._dlopen(artifact)
@@ -866,13 +877,12 @@ class CppJitEngine:
     # in the background while the queue is still being built
     # ------------------------------------------------------------------
     def prefetch_jobs(self, expr, out_dtype, desc):
-        """Best-effort ``(spec, generate, suffix, compiler)`` jobs for the
+        """Best-effort ``(spec, generate, compiler)`` jobs for the
         kernels evaluating *expr* into a *out_dtype* container under
         *desc* will need — including the fused kernels the planner is
         predicted to emit for ``apply(producer)`` pairs.  Mispredictions
         are harmless: the flush compiles whatever is missing, and warm
         cache entries are hits, not rebuilds."""
-        from ..backend.kernels import OpDesc
         from ..core import expressions as ex
         from ..core.plan import fusion_enabled
 
@@ -885,7 +895,7 @@ class CppJitEngine:
 
         def add_job(spec):
             jobs.append(
-                (spec, generate_cpp_source, ".cpp", self.compiler_for(spec))
+                (spec, generate_cpp_source, self.compiler_for(spec))
             )
 
         def fused_apply(node, out_dt, dp):
@@ -1258,7 +1268,7 @@ class CppJitEngine:
             "ewise_mult_vec_reduce_scalar", u, v, op, rop, identity
         )
 
-    # -- Python-JIT fallbacks (index-heavy matrix forms) -----------------
+    # -- interpreted fallbacks (ops without a native binding) -----------
     def transpose(self, out, a, desc):
         return self._fallback.transpose(out, a, desc)
 

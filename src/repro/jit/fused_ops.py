@@ -1,12 +1,12 @@
 """The shared per-node description of every fused kernel.
 
 This table is the single source of truth the planner
-(:mod:`repro.jit.fusion`), both code generators
-(:mod:`repro.jit.pycodegen`, :mod:`repro.jit.cppcodegen`), the reference
-kernels (:mod:`repro.backend.kernels.fused`) and the precompiler key off —
-adding a rule here and a generator in each codegen is the whole recipe, so
-the two codegens cannot silently drift on *which* fusions exist (a
-coverage test asserts every name below is registered in both).
+(:mod:`repro.jit.fusion`), the code generator
+(:mod:`repro.jit.cppcodegen`), the reference kernels
+(:mod:`repro.backend.kernels.fused`) and the precompiler key off —
+adding a rule here, a reference kernel and a C++ generator is the whole
+recipe (a coverage test asserts every name below is registered in
+both).
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ GBTL_LITE_HEADER = r"""
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <type_traits>
 #include <vector>
 #ifdef _OPENMP
 #include <omp.h>
@@ -127,10 +128,26 @@ template <class T> struct Plus  { T operator()(T a, T b) const { return a + b; }
 template <class T> struct Minus { T operator()(T a, T b) const { return a - b; } };
 template <class T> struct Times { T operator()(T a, T b) const { return a * b; } };
 template <class T> struct Div {
-    T operator()(T a, T b) const { return b == T(0) ? T(0) : T(a / b); }
+    T operator()(T a, T b) const {
+        if (b == T(0)) return T(0);
+        if constexpr (std::is_integral_v<T> && std::is_signed_v<T>) {
+            // negate in unsigned arithmetic: MIN / -1 wraps (as NumPy's
+            // does) instead of trapping
+            using U = std::make_unsigned_t<T>;
+            if (b == T(-1)) return T(U(0) - U(a));
+        }
+        return T(a / b);
+    }
 };
-template <class T> struct Min { T operator()(T a, T b) const { return b < a ? b : a; } };
-template <class T> struct Max { T operator()(T a, T b) const { return a < b ? b : a; } };
+// exactly np.minimum / np.maximum: a NaN in either argument propagates
+// (a NaN b fails the comparison, so b is returned) and ties return b;
+// the a != a test folds away for integral T
+template <class T> struct Min {
+    T operator()(T a, T b) const { return (a != a || a < b) ? a : b; }
+};
+template <class T> struct Max {
+    T operator()(T a, T b) const { return (a != a || a > b) ? a : b; }
+};
 template <class T> struct First  { T operator()(T a, T) const { return a; } };
 template <class T> struct Second { T operator()(T, T b) const { return b; } };
 template <class T> struct LogicalOr {

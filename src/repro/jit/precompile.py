@@ -143,12 +143,12 @@ def warm_cache(
         parallel = engine.parallel_enabled()
 
     jobs = [
-        (spec, generate_cpp_source, ".cpp", engine.compiler_for(spec))
+        (spec, generate_cpp_source, engine.compiler_for(spec))
         for spec in algorithm_kernel_specs(parallel)
     ]
     if include_algorithm_modules:
         jobs += [
-            (spec, generate_algorithm_source, ".cpp", engine.compiler_for(spec))
+            (spec, generate_algorithm_source, engine.compiler_for(spec))
             for spec in algorithm_module_specs(parallel)
         ]
     report = cache.precompile(jobs, max_workers=max_workers)

@@ -29,7 +29,6 @@ Supported kinds and their hook points:
                     ``PYGB_COMPILE_TIMEOUT`` machinery trips for real
 ``corrupt_so``      the freshly compiled ``.so`` is truncated in place
 ``dlopen_fail``     ``ctypes.CDLL`` load raises ``OSError``
-``pyjit_fail``      ``PyJitEngine._module`` raises ``CompilationError``
 ``kernel_fail``     ``ResilientEngine`` raises ``KernelExecutionError``
                     *at runtime* before trying an engine (the kernel
                     "crashed"), exercising the execution fallback chain
@@ -58,7 +57,7 @@ __all__ = ["FAULT_KINDS", "FaultPlan", "FAULTS", "fault_injection"]
 
 FAULT_KINDS = frozenset({
     # compile/load pipeline faults (PR 3)
-    "compile_fail", "slow_compile", "corrupt_so", "dlopen_fail", "pyjit_fail",
+    "compile_fail", "slow_compile", "corrupt_so", "dlopen_fail",
     # runtime execution faults (guardrail ladder)
     "kernel_fail", "slow_kernel", "worker_crash", "worker_hang", "queue_overflow",
 })

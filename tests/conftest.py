@@ -2,9 +2,10 @@
 
 The JIT disk cache is pointed at a repo-local directory (kept across test
 runs so the C++ artifacts amortise, exactly as the paper intends for its
-compilation cache).  The ``engine`` fixture parametrises DSL-level tests
-over the interpreted and Python-JIT engines; C++-engine tests live in
-``test_cpp_engine.py`` behind the ``cpp`` marker.
+compilation cache).  The ``engine`` fixture runs DSL-level tests on the
+interpreted engine and on the cpp stack of a host without a working
+compiler (id ``pyjit``); C++-engine tests live in ``test_cpp_engine.py``
+and the differential suites behind the ``cpp`` marker.
 """
 
 from __future__ import annotations
@@ -21,14 +22,17 @@ import numpy as np
 import pytest
 
 import repro as gb
-from repro.core.context import use_engine
+from helpers import use_test_engine
 
 
 @pytest.fixture(params=["interpreted", "pyjit"])
 def engine(request):
-    """Run the test body under each non-C++ execution engine."""
-    with use_engine(request.param):
-        yield request.param
+    """Run the test body on the interpreted engine and on ``pyjit``, the
+    cpp stack of a host whose compiler fails every build (see
+    :func:`helpers.no_compiler_engine`).  Yields the name the active
+    engine reports in spans and errors (``cpp`` for ``pyjit``)."""
+    with use_test_engine(request.param) as active:
+        yield active.name
 
 
 @pytest.fixture

@@ -4,12 +4,13 @@ plus regression tests for the cache bugs the catalog work exposed
 (key-lock leak, precompile report inflation, $PYGB_COMPILE_JOBS parsing)
 and the cross-process compile race.
 
-Everything here bakes the ``.py`` kernel flavour only, so the tests run
-(fast) on toolchain-free hosts; the cpp flavour goes through the same
-``JitCache``/``precompile`` machinery and is exercised end-to-end by the
-CI cold-start leg (``benchmarks/check_cold_start.py``).
+The packs here are real ``.so`` packs built with the C++ toolchain, but
+over a three-spec slice of the catalog space so a bake takes seconds;
+the full enumeration is checked by the spec-space tests below and baked
+end-to-end by the CI cold-start leg (``benchmarks/check_cold_start.py``).
 """
 
+import ctypes
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ import pytest
 
 from repro.exceptions import CatalogError, JitFallbackWarning
 from repro.jit import cache as cache_mod
+from repro.jit import catalog as catalog_mod
 from repro.jit.cache import JitCache, default_compile_jobs
 from repro.jit.catalog import (
     CATALOG_FILENAME,
@@ -32,30 +34,61 @@ from repro.jit.catalog import (
     load_catalog,
     validate_catalog,
 )
+from repro.jit.cppcodegen import generate_cpp_source
+from repro.jit.cppengine import CppJitEngine, toolchain_works
 from repro.jit.precompile import algorithm_kernel_specs
-from repro.jit.pycodegen import generate_source
 from repro.jit.spec import KernelSpec
+
+from helpers import fake_compile, fake_source
+
+needs_cxx = pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
+
+
+def _traversal_spec(func: str = "mxv") -> KernelSpec:
+    """A serial spec of the catalog space, keyed as the cpp engine keys
+    an unmasked float64 Plus-Times traversal."""
+    return KernelSpec.make(
+        func, a="float64", u="float64", c="float64", t_dtype="float64",
+        add="Plus", mult="Times", mask="none", comp=0, repl=0, accum="none",
+    )
+
+
+def _slice():
+    return [_traversal_spec("mxv"), _traversal_spec("vxm"),
+            KernelSpec.make("reduce_vec_scalar", a="float64", op="Plus")]
+
+
+def _bake_slice(out, monkeypatch):
+    """Bake the three-spec slice (serial) into *out*."""
+    monkeypatch.setattr(catalog_mod, "catalog_kernel_specs", lambda parallel=False: _slice())
+    monkeypatch.setattr(catalog_mod, "algorithm_module_specs", lambda parallel=False: [])
+    return bake_catalog(out, parallel=False)
+
+
+def _get(cache: JitCache, spec: KernelSpec):
+    """The cpp engine's lookup of *spec* through *cache*."""
+    engine = CppJitEngine(cache)
+    return cache.get_module(spec, generate_cpp_source, engine.compiler_for(spec))
 
 
 @pytest.fixture(scope="module")
 def pack(tmp_path_factory):
-    """One .py-flavour pack shared by the read-side tests (baking 129
-    specs once instead of per-test)."""
+    """One baked pack shared by the read-side tests."""
+    if not toolchain_works():
+        pytest.skip("no working C++ toolchain")
     out = tmp_path_factory.mktemp("pack")
-    report = bake_catalog(out, include_cpp=False)
+    with pytest.MonkeyPatch.context() as mp:
+        report = _bake_slice(out, mp)
     assert report["failed"] == []
-    assert report["py_entries"] == report["entries"] > 0
+    assert report["entries"] == len(_slice())
     return out
 
 
-def _pyjit_spec() -> KernelSpec:
-    """A spec guaranteed to be in the pack's .py flavour (pyjit specs
-    carry the ta transpose flag)."""
-    return KernelSpec.make(
-        "mxv", a="float64", u="float64", c="float64", t_dtype="float64",
-        add="Plus", mult="Times", ta=False, mask="none", comp=0, repl=0,
-        accum="none",
-    )
+def _copy_pack(pack: Path, dest: Path) -> Path:
+    dest.mkdir()
+    for p in pack.iterdir():
+        (dest / p.name).write_bytes(p.read_bytes())
+    return dest
 
 
 # ----------------------------------------------------------------------
@@ -64,7 +97,7 @@ def _pyjit_spec() -> KernelSpec:
 def test_catalog_specs_cover_algorithm_set():
     """Tier 1 of the enumeration is the traced algorithm kernel list, so
     the catalog inherits precompile's drift guard: every algorithm spec
-    must appear in the catalog space, in both flavours."""
+    must appear in the catalog space, serial and parallel."""
     for parallel in (False, True):
         catalog = {s.key_hash for s in catalog_kernel_specs(parallel)}
         algo = {s.key_hash for s in algorithm_kernel_specs(parallel)}
@@ -79,18 +112,24 @@ def test_catalog_specs_deduplicated():
 # ----------------------------------------------------------------------
 # bake + serve round trip
 # ----------------------------------------------------------------------
+def test_catalog_specs_contain_the_baked_slice():
+    space = {s.key_hash for s in catalog_kernel_specs(parallel=False)}
+    assert {s.key_hash for s in _slice()} <= space
+
+
 def test_catalog_hit_serves_without_compile(pack, tmp_path):
     cache = JitCache(tmp_path / "cold")
     load_catalog(pack, cache)
-    mod = cache.get_module(_pyjit_spec(), generate_source, suffix=".py")
-    assert callable(getattr(mod, "run"))
+    path = _get(cache, _traversal_spec())
+    assert path.parent == pack
+    ctypes.CDLL(str(path))  # a loadable shared object, served in place
     snap = cache.stats.snapshot()
     assert snap["compiles"] == 0
     assert snap["disk_hits"] == 0
     assert snap["catalog_hits"] == 1
     assert snap["catalog_misses"] == 0
     # second lookup is a memory hit, not a second catalog probe
-    cache.get_module(_pyjit_spec(), generate_source, suffix=".py")
+    _get(cache, _traversal_spec())
     assert cache.stats.snapshot()["catalog_hits"] == 1
     assert cache.stats.snapshot()["memory_hits"] == 1
 
@@ -98,19 +137,19 @@ def test_catalog_hit_serves_without_compile(pack, tmp_path):
 def test_catalog_miss_counted_only_with_catalog_attached(pack, tmp_path):
     cache = JitCache(tmp_path / "cold")
     spec = KernelSpec.make("reduce_vec_scalar", a="int32", op="Max")
-    cache.get_module(spec, generate_source, suffix=".py")
+    cache.get_module(spec, fake_source, fake_compile)
     assert cache.stats.snapshot()["catalog_misses"] == 0  # no pack attached
     load_catalog(pack, cache)
     spec2 = KernelSpec.make("reduce_vec_scalar", a="int16", op="Max")
-    cache.get_module(spec2, generate_source, suffix=".py")
+    cache.get_module(spec2, fake_source, fake_compile)
     snap = cache.stats.snapshot()
     assert snap["catalog_misses"] == 1
     assert snap["compiles"] == 2
 
 
-def test_bake_is_incremental(pack):
+def test_bake_is_incremental(pack, monkeypatch):
     """Re-baking into an existing pack reuses the artifacts on disk."""
-    report = bake_catalog(pack, include_cpp=False)
+    report = _bake_slice(pack, monkeypatch)
     assert report["failed"] == []
     assert report["compiled"] == 0
     assert report["disk_hits"] == report["requested"]
@@ -120,6 +159,13 @@ def test_validate_catalog_round_trip(pack):
     check = validate_catalog(pack)
     assert check["bad"] == []
     assert check["ok"] == check["entries"] > 0
+
+
+def test_bake_without_toolchain_bakes_nothing(tmp_path, monkeypatch):
+    monkeypatch.setenv("PYGB_CXX", "/nonexistent/pygb-no-such-compiler")
+    report = bake_catalog(tmp_path / "pack")
+    assert report["entries"] == report["requested"] == 0
+    assert "C++ compiler" in report["cpp_skipped"]
 
 
 # ----------------------------------------------------------------------
@@ -134,10 +180,7 @@ def _rewrite_catalog(pack: Path, **overrides):
 
 @pytest.mark.parametrize("field", ["schema", "codegen_version", "cache_format_version"])
 def test_stale_version_stamp_rejected_wholesale(pack, tmp_path, field):
-    stale = tmp_path / "stale"
-    stale.mkdir()
-    for p in pack.iterdir():
-        (stale / p.name).write_bytes(p.read_bytes())
+    stale = _copy_pack(pack, tmp_path / "stale")
     _rewrite_catalog(stale, **{field: 999})
     with pytest.raises(CatalogError, match="stale kernel catalog"):
         KernelCatalog.load(stale)
@@ -158,18 +201,15 @@ def test_env_catalog_degrades_to_warning(pack, tmp_path, monkeypatch):
     """$PYGB_CATALOG pointing at a stale/garbled pack must not break the
     process: the cache warns, records the reason for `repro doctor`, and
     serves the normal compile path."""
-    stale = tmp_path / "stale"
-    stale.mkdir()
-    for p in pack.iterdir():
-        (stale / p.name).write_bytes(p.read_bytes())
+    stale = _copy_pack(pack, tmp_path / "stale")
     _rewrite_catalog(stale, codegen_version=999)
     monkeypatch.setenv("PYGB_CATALOG", str(stale))
     with pytest.warns(JitFallbackWarning, match="ignoring \\$PYGB_CATALOG"):
         cache = JitCache(tmp_path / "cold")
     assert cache.catalog is None
     assert "stale kernel catalog" in cache.catalog_error
-    mod = cache.get_module(_pyjit_spec(), generate_source, suffix=".py")
-    assert callable(getattr(mod, "run"))
+    path = _get(cache, _traversal_spec())
+    assert path.parent == cache.cache_dir
     assert cache.stats.snapshot()["compiles"] == 1
 
 
@@ -185,54 +225,50 @@ def test_checksum_mismatch_falls_through_to_compile(pack, tmp_path):
     """A single corrupted artifact quarantines that entry only; the
     lookup degrades to a normal compile and every other entry still
     serves."""
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    for p in pack.iterdir():
-        (broken / p.name).write_bytes(p.read_bytes())
-    spec = _pyjit_spec()
-    (broken / f"{spec.module_stem}.py").write_text("garbage ][")
+    broken = _copy_pack(pack, tmp_path / "broken")
+    spec = _traversal_spec()
+    (broken / f"{spec.module_stem}.so").write_bytes(b"garbage ][")
     cache = JitCache(tmp_path / "cold")
     load_catalog(broken, cache)
-    mod = cache.get_module(spec, generate_source, suffix=".py")
-    assert callable(getattr(mod, "run"))
+    path = _get(cache, spec)
+    ctypes.CDLL(str(path))
     snap = cache.stats.snapshot()
     assert snap["catalog_misses"] == 1
     assert snap["compiles"] == 1
     # an intact entry still serves from the same pack
-    other = KernelSpec.make(
-        "vxm", a="float64", u="float64", c="float64", t_dtype="float64",
-        add="Plus", mult="Times", ta=False, mask="none", comp=0, repl=0,
-        accum="none",
-    )
-    cache.get_module(other, generate_source, suffix=".py")
+    _get(cache, _traversal_spec("vxm"))
     assert cache.stats.snapshot()["catalog_hits"] == 1
     check = validate_catalog(broken)
     assert check["bad"] == [spec.key]
 
 
-def test_unloadable_entry_quarantined(pack, tmp_path):
-    """Checksum-clean but unimportable (pack baked from a broken file
-    that was then faithfully checksummed): quarantine + recompile, once."""
-    broken = tmp_path / "broken"
-    broken.mkdir()
-    for p in pack.iterdir():
-        (broken / p.name).write_bytes(p.read_bytes())
-    spec = _pyjit_spec()
-    bad = b"raise RuntimeError('baked broken')\n"
-    (broken / f"{spec.module_stem}.py").write_bytes(bad)
+def test_unloadable_entry_quarantined(pack, tmp_path, monkeypatch):
+    """Checksum-clean but unloadable (pack baked from a broken file that
+    was then faithfully checksummed): the engine's failed dlopen
+    quarantines the entry and recompiles, once."""
+    import numpy as np
+
+    from repro.backend.svector import SparseVector
+
+    monkeypatch.setenv("PYGB_PARALLEL", "0")  # the pack holds serial kernels
+    broken = _copy_pack(pack, tmp_path / "broken")
+    spec = KernelSpec.make("reduce_vec_scalar", a="float64", op="Plus")
+    bad = b"not an ELF object\n"
+    (broken / f"{spec.module_stem}.so").write_bytes(bad)
     path = broken / CATALOG_FILENAME
     data = json.loads(path.read_text())
     for entry in data["entries"]:
         if entry["key_hash"] == spec.key_hash:
-            entry["sha256"] = JitCache._sha256_file(broken / f"{spec.module_stem}.py")
+            entry["sha256"] = JitCache._sha256_file(broken / f"{spec.module_stem}.so")
             entry["size"] = len(bad)
     path.write_text(json.dumps(data))
     cache = JitCache(tmp_path / "cold")
     catalog = load_catalog(broken, cache)
-    mod = cache.get_module(spec, generate_source, suffix=".py")
-    assert callable(getattr(mod, "run"))
+    engine = CppJitEngine(cache)
+    u = SparseVector.from_coo(4, [0, 2], [1.5, 2.0])
+    assert engine.reduce_vec_scalar(u, "Plus", np.float64(0.0)) == 3.5
     assert cache.stats.snapshot()["compiles"] == 1
-    assert catalog.entry(spec.key_hash, ".py") is None  # quarantined
+    assert catalog.entry(spec.key_hash, ".so") is None  # quarantined
 
 
 def test_readonly_catalog_dir(pack, tmp_path):
@@ -242,14 +278,14 @@ def test_readonly_catalog_dir(pack, tmp_path):
     try:
         cache = JitCache(tmp_path / "cold")
         load_catalog(pack, cache)
-        mod = cache.get_module(_pyjit_spec(), generate_source, suffix=".py")
-        assert callable(getattr(mod, "run"))
+        assert _get(cache, _traversal_spec()).parent == pack
         assert cache.stats.snapshot()["catalog_hits"] == 1
         assert cache.stats.snapshot()["compiles"] == 0
     finally:
         os.chmod(pack, 0o755)
 
 
+@needs_cxx
 def test_bake_into_unwritable_dir_raises(tmp_path):
     if getattr(os, "geteuid", lambda: 1)() == 0:
         pytest.skip("root ignores directory modes")
@@ -260,7 +296,7 @@ def test_bake_into_unwritable_dir_raises(tmp_path):
         with pytest.raises(CatalogError, match="not writable"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", JitFallbackWarning)
-                bake_catalog(target / "pack", include_cpp=False)
+                bake_catalog(target / "pack")
     finally:
         os.chmod(target, 0o755)
 
@@ -268,21 +304,20 @@ def test_bake_into_unwritable_dir_raises(tmp_path):
 # ----------------------------------------------------------------------
 # satellite regression tests
 # ----------------------------------------------------------------------
-def test_key_locks_pruned_after_module_resident(tmp_path):
-    """Regression: one lock per (spec, kind) used to accumulate forever —
-    a leak for long-running services and for bake's hundreds of specs."""
+def test_key_locks_pruned_after_module_resident(pack, tmp_path):
+    """Regression: one lock per spec used to accumulate forever — a leak
+    for long-running services and for bake's hundreds of specs."""
     cache = JitCache(tmp_path)
     specs = [KernelSpec.make("reduce_vec_scalar", a=d, op="Plus")
              for d in ("int8", "int16", "int32")]
     for spec in specs:
-        cache.get_module(spec, generate_source, suffix=".py")
+        cache.get_module(spec, fake_source, fake_compile)
     assert cache._key_locks == {}
     # ... including when the module arrives via the catalog tier
-    pack_dir = tmp_path / "pack"
-    bake_catalog(pack_dir, include_cpp=False)
     cold = JitCache(tmp_path / "cold")
-    load_catalog(pack_dir, cold)
-    cold.get_module(_pyjit_spec(), generate_source, suffix=".py")
+    load_catalog(pack, cold)
+    _get(cold, _traversal_spec())
+    assert cold.stats.snapshot()["catalog_hits"] == 1
     assert cold._key_locks == {}
 
 
@@ -297,10 +332,10 @@ def test_precompile_report_not_inflated_by_foreground_traffic(tmp_path):
 
     def generate_with_foreground(spec):
         # a "foreground" dispatch on another spec while the pool works
-        cache.get_module(inner, generate_source, suffix=".py")
-        return generate_source(spec)
+        cache.get_module(inner, fake_source, fake_compile)
+        return fake_source(spec)
 
-    report = cache.precompile([(outer, generate_with_foreground, ".py", None)])
+    report = cache.precompile([(outer, generate_with_foreground, fake_compile)])
     assert cache.stats.snapshot()["compiles"] == 2  # both really compiled
     assert report["requested"] == 1
     assert report["compiled"] == 1  # ... but only one was this batch's job
@@ -308,12 +343,10 @@ def test_precompile_report_not_inflated_by_foreground_traffic(tmp_path):
     assert report["catalog_hits"] == 0
 
 
-def test_precompile_reports_catalog_hits(tmp_path):
-    pack_dir = tmp_path / "pack"
-    bake_catalog(pack_dir, include_cpp=False)
+def test_precompile_reports_catalog_hits(pack, tmp_path):
     cache = JitCache(tmp_path / "cold")
-    load_catalog(pack_dir, cache)
-    report = cache.precompile([(_pyjit_spec(), generate_source, ".py", None)])
+    load_catalog(pack, cache)
+    report = cache.precompile([(_traversal_spec(), fake_source, fake_compile)])
     assert report["catalog_hits"] == 1
     assert report["compiled"] == 0
 
@@ -344,27 +377,30 @@ def test_compile_jobs_env_valid_value(monkeypatch):
 # ----------------------------------------------------------------------
 # cross-process compile race (the os.replace path)
 # ----------------------------------------------------------------------
+@needs_cxx
 def test_cross_process_cache_race(tmp_path):
     """Two processes compiling the same spec into one cache directory
-    must both import a complete artifact: writers build under a unique
+    must both load a complete artifact: writers build under a unique
     temp name and ``os.replace`` it into place, so a reader can never
-    see a half-written module."""
+    see a half-written shared object."""
     child = textwrap.dedent(
         """
-        import sys, time
+        import ctypes, sys, time
         from repro.jit.cache import JitCache
-        from repro.jit.pycodegen import generate_source
+        from repro.jit.cppcodegen import generate_cpp_source
+        from repro.jit.cppengine import CppJitEngine
         from repro.jit.spec import KernelSpec
 
         cache = JitCache(sys.argv[1])
+        engine = CppJitEngine(cache)
         spec = KernelSpec.make("reduce_vec_scalar", a="float64", op="Plus")
 
         def slow_generate(s):
             time.sleep(0.5)  # widen the race window past process startup skew
-            return generate_source(s)
+            return generate_cpp_source(s)
 
-        mod = cache.get_module(spec, slow_generate, suffix=".py")
-        assert callable(mod.run)
+        path = cache.get_module(spec, slow_generate, engine.compiler_for(spec))
+        ctypes.CDLL(str(path))
         print("OK", cache.stats.compiles)
         """
     )
@@ -384,7 +420,7 @@ def test_cross_process_cache_race(tmp_path):
     # must be complete and checksum-clean for the next process
     cache = JitCache(tmp_path)
     spec = KernelSpec.make("reduce_vec_scalar", a="float64", op="Plus")
-    cache.get_module(spec, generate_source, suffix=".py")
+    _get(cache, spec)
     assert cache.stats.snapshot()["disk_hits"] == 1
     assert cache.stats.snapshot()["compiles"] == 0
 
@@ -397,12 +433,12 @@ def test_same_process_race_dedupes_to_one_compile(tmp_path):
     results = []
 
     def worker():
-        results.append(cache.get_module(spec, generate_source, suffix=".py"))
+        results.append(cache.get_module(spec, fake_source, fake_compile))
 
     threads = [threading.Thread(target=worker) for _ in range(4)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert len({id(m) for m in results}) == 1
+    assert len(set(results)) == 1
     assert cache.stats.snapshot()["compiles"] == 1

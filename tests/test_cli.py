@@ -83,7 +83,8 @@ def test_components(sym_file, capsys):
 def test_engines(capsys):
     assert main(["engines"]) == 0
     out = capsys.readouterr().out
-    assert "pyjit" in out and "interpreted" in out
+    assert "cpp" in out and "interpreted" in out
+    assert "pyjit" not in out
 
 
 def test_engine_flag(graph_file, capsys):

@@ -313,6 +313,59 @@ class TestCompiledAlgorithms:
         assert elapsed > 0
 
 
+class TestValueDomain:
+    """The engines agree bit for bit at the edges of the value domain,
+    not only on the small finite values the random tests draw."""
+
+    def test_int64_div_extremes(self, cpp, interp):
+        big = np.iinfo(np.int64)
+        a = [big.max, big.min, big.max, -(2**53 + 1), 2**62 + 3, -7, 7, 5]
+        b = [1, 1, -1, 1, 3, 2, -2, 0]
+        idx = np.arange(len(a))
+        u = SparseVector.from_sorted(len(a), idx, np.array(a, dtype=np.int64))
+        v = SparseVector.from_sorted(len(a), idx, np.array(b, dtype=np.int64))
+        out = SparseVector.empty(len(a), np.int64)
+        got = cpp.ewise_mult_vec(out, u, v, "Div", OpDesc())
+        want = interp.ewise_mult_vec(out, u, v, "Div", OpDesc())
+        exact = [big.max, big.min, -big.max, -(2**53 + 1), (2**62 + 3) // 3, -3, -3, 0]
+        assert got.values.tolist() == want.values.tolist() == exact
+
+    @pytest.mark.parametrize("op", ["Min", "Max"])
+    def test_min_max_nan_in_either_position(self, cpp, interp, op):
+        nan = np.nan
+        # NaN left, NaN right, both, neither; and signed zeros
+        a = np.array([nan, 1.0, nan, 2.0, 0.0, -0.0])
+        b = np.array([2.0, nan, nan, 1.0, -0.0, 0.0])
+        idx = np.arange(a.size)
+        u = SparseVector.from_sorted(a.size, idx, a)
+        v = SparseVector.from_sorted(a.size, idx, b)
+        ufunc = np.minimum if op == "Min" else np.maximum
+        for method in ("ewise_add_vec", "ewise_mult_vec"):
+            out = SparseVector.empty(a.size, np.float64)
+            got = getattr(cpp, method)(out, u, v, op, OpDesc()).values
+            want = getattr(interp, method)(out, u, v, op, OpDesc()).values
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+            np.testing.assert_array_equal(got, ufunc(a, b))
+
+    @pytest.mark.parametrize("op", ["Min", "Max"])
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_min_max_reduce_propagates_nan(self, cpp, interp, op, pos):
+        vals = np.array([3.0, -1.0, 5.0, 0.5, 2.0])
+        vals[pos] = np.nan
+        u = SparseVector.from_sorted(vals.size, np.arange(vals.size), vals)
+        assert np.isnan(cpp.reduce_vec_scalar(u, op, None))
+        assert np.isnan(interp.reduce_vec_scalar(u, op, None))
+        m = SparseMatrix.from_coo(2, vals.size, [0] * vals.size + [1, 1],
+                                  list(range(vals.size)) + [0, 1],
+                                  np.concatenate([vals, [4.0, 1.0]]))
+        assert np.isnan(cpp.reduce_mat_scalar(m, op, None))
+        rows_cpp = cpp.reduce_rows(SparseVector.empty(2, np.float64), m, op, OpDesc())
+        rows_int = interp.reduce_rows(SparseVector.empty(2, np.float64), m, op, OpDesc())
+        np.testing.assert_array_equal(rows_cpp.values, rows_int.values)
+        assert np.isnan(rows_cpp.values[0]) and not np.isnan(rows_cpp.values[1])
+
+
 class TestCppCaching:
     def test_so_artifacts_cached_on_disk(self, cpp, rng):
         u = random_vec_dict(rng, N)

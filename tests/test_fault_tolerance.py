@@ -33,10 +33,10 @@ from repro.exceptions import (
 )
 from repro.jit.cache import CACHE_FORMAT_VERSION, JitCache
 from repro.jit.health import EngineHealth, jit_retries
-from repro.jit.pycodegen import generate_source
-from repro.jit.pyengine import PyJitEngine
 from repro.jit.spec import KernelSpec
 from repro.testing import FAULTS, fault_injection
+
+from helpers import BROKEN_CXX, fake_compile, fake_source
 
 
 @pytest.fixture(autouse=True)
@@ -79,9 +79,7 @@ def _cpp_chain(tmp_path):
     from repro.jit.cppengine import CppJitEngine
 
     cache = JitCache(tmp_path)
-    return cache, ResilientEngine(
-        [CppJitEngine(cache), PyJitEngine(cache), InterpretedEngine()]
-    )
+    return cache, ResilientEngine([CppJitEngine(cache), InterpretedEngine()])
 
 
 # ----------------------------------------------------------------------
@@ -192,49 +190,65 @@ class TestQuarantine:
 
 
 # ----------------------------------------------------------------------
-# pyjit fallback chain (no compiler required)
+# the cpp stack of a host whose compiler fails every build
 # ----------------------------------------------------------------------
 class TestPyJitFallback:
+    """The fallback chain where the deleted Python JIT engine used to
+    serve: a host whose C++ compiler resolves but fails every build
+    (``PYGB_CXX=/bin/false``).  Real build failures, no fault injection,
+    no toolchain needed."""
+
+    @pytest.fixture(autouse=True)
+    def _broken_compiler(self, monkeypatch):
+        monkeypatch.setenv("PYGB_CXX", BROKEN_CXX)
+        monkeypatch.delenv("PYGB_CATALOG", raising=False)
+
     def test_pyjit_failure_falls_back_to_interpreted(self, tmp_path):
-        cache = JitCache(tmp_path)
-        eng = ResilientEngine([PyJitEngine(cache), InterpretedEngine()])
+        cache, eng = _cpp_chain(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with fault_injection("pyjit_fail", rate=1.0):
-                result = eng.ewise_add_vec(*_vec_args(), "Plus", OpDesc())
+            result = eng.ewise_add_vec(*_vec_args(), "Plus", OpDesc())
+            # the second call fails fast on the quarantine, silently
+            again = eng.ewise_add_vec(*_vec_args(), "Plus", OpDesc())
         assert np.allclose(result.values, _EXPECTED)
+        assert np.array_equal(again.values, result.values)
         fallback_warnings = [
             w for w in caught if issubclass(w.category, JitFallbackWarning)
         ]
         assert len(fallback_warnings) == 1
         assert cache.stats.jit_failures == 1
-        assert cache.stats.fallbacks == 1
+        assert cache.stats.fallbacks == 2
+        assert cache.stats.compiles == 0
 
     def test_make_engine_wraps_pyjit_in_fallback_chain(self):
         from repro.guard import GuardedEngine
 
-        eng = make_engine("pyjit")
-        # composition order: Guard(Partitioned(Resilient(pyjit -> interpreted)))
+        eng = make_engine("cpp")
+        # composition order: Guard(Partitioned(Resilient(cpp -> interpreted)))
         assert isinstance(eng, GuardedEngine)
         assert isinstance(eng._inner, PartitionedEngine)
-        assert isinstance(eng._inner._inner, ResilientEngine)
-        assert eng.name == "pyjit"  # chain reports the primary's name
+        chain = eng._inner._inner
+        assert isinstance(chain, ResilientEngine)
+        assert [e.name for e in chain._chain] == ["cpp", "interpreted"]
+        assert chain._chain[0].cxx == BROKEN_CXX
+        assert eng.name == "cpp"  # chain reports the primary's name
 
     def test_strict_mode_returns_bare_engine(self, monkeypatch):
         from repro.guard import GuardedEngine
 
         monkeypatch.setenv("PYGB_JIT_STRICT", "1")
-        eng = make_engine("pyjit")
+        eng = make_engine("cpp")
         assert isinstance(eng, GuardedEngine)
         assert isinstance(eng._inner, PartitionedEngine)
         assert not isinstance(eng._inner._inner, ResilientEngine)
 
     def test_strict_mode_raises_through_dsl(self, tmp_path, monkeypatch):
+        from repro.jit.cppengine import CppJitEngine
+
         monkeypatch.setenv("PYGB_JIT_STRICT", "1")
-        eng = PyJitEngine(JitCache(tmp_path))
-        with fault_injection("pyjit_fail", rate=1.0):
-            with pytest.raises(CompilationError):
-                eng.ewise_add_vec(*_vec_args(), "Plus", OpDesc())
+        eng = CppJitEngine(JitCache(tmp_path))
+        with pytest.raises(CompilationError):
+            eng.ewise_add_vec(*_vec_args(), "Plus", OpDesc())
 
 
 # ----------------------------------------------------------------------
@@ -312,14 +326,16 @@ class TestCppFaults:
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_double_fault_reaches_interpreted(self, tmp_path):
+        """With every compile and load fault armed, the op still reaches
+        the interpreter, in one fallback step."""
         cache, eng = _cpp_chain(tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             FAULTS.install("compile_fail", rate=1.0)
-            FAULTS.install("pyjit_fail", rate=1.0)
+            FAULTS.install("dlopen_fail", rate=1.0)
             result = eng.ewise_add_vec(*_vec_args(), "Plus", OpDesc())
         assert np.allclose(result.values, _EXPECTED)
-        assert cache.stats.fallbacks == 2  # cpp -> pyjit -> interpreted
+        assert cache.stats.fallbacks == 1  # cpp -> interpreted
 
 
 class TestCompileTimeoutConfig:
@@ -352,8 +368,8 @@ class TestCacheDirResilience:
         assert cache.cache_dir.is_dir()
         assert any(issubclass(w.category, JitFallbackWarning) for w in caught)
         # and the relocated cache is fully functional
-        mod = cache.get_module(_spec(), generate_source)
-        assert hasattr(mod, "run")
+        path = cache.get_module(_spec(), fake_source, fake_compile)
+        assert path.parent == cache.cache_dir and path.exists()
 
     @pytest.mark.skipif(os.geteuid() == 0, reason="root ignores mode bits")
     def test_readonly_cache_dir_relocates(self, tmp_path):
@@ -382,9 +398,9 @@ class TestTmpSweep:
         (tmp_path / "CACHE_FORMAT").write_text(f"{CACHE_FORMAT_VERSION}\n")
         proc = subprocess.Popen(["true"])
         proc.wait()  # reaped: the pid is now dead
-        dead = tmp_path / f"pygb_x.py.{proc.pid}.140000000.tmp"
+        dead = tmp_path / f"pygb_x.cpp.{proc.pid}.140000000.tmp"
         dead.write_text("")
-        mine = tmp_path / f"pygb_y.py.{os.getpid()}.140000000.tmp"
+        mine = tmp_path / f"pygb_y.cpp.{os.getpid()}.140000000.tmp"
         mine.write_text("")
         odd_fresh = tmp_path / "strange.tmp"
         odd_fresh.write_text("")
@@ -404,7 +420,7 @@ class TestTmpSweep:
 class TestFormatStamp:
     def test_stale_format_sweeps_artifacts(self, tmp_path):
         (tmp_path / "CACHE_FORMAT").write_text("0\n")
-        stale = tmp_path / "pygb_old_artifact.py"
+        stale = tmp_path / "pygb_old_artifact.so"
         stale.write_text("# from an older cache layout")
         JitCache(tmp_path)
         assert not stale.exists()
@@ -414,12 +430,12 @@ class TestFormatStamp:
 
     def test_current_format_keeps_artifacts(self, tmp_path):
         cache = JitCache(tmp_path)
-        cache.get_module(_spec(), generate_source)
+        cache.get_module(_spec(), fake_source, fake_compile)
         artifacts = sorted(p.name for p in tmp_path.glob("pygb_*"))
         cache2 = JitCache(tmp_path)
         assert sorted(p.name for p in tmp_path.glob("pygb_*")) == artifacts
         cache2.clear_memory()
-        cache2.get_module(_spec(), generate_source)
+        cache2.get_module(_spec(), fake_source, fake_compile)
         assert cache2.stats.disk_hits == 1  # survived re-construction
 
 
@@ -436,9 +452,7 @@ class TestBrokenCompilerAcceptance:
 
         monkeypatch.setenv("PYGB_CXX", "/bin/false")
         cache = JitCache(tmp_path)
-        chain = ResilientEngine(
-            [CppJitEngine(cache), PyJitEngine(cache), InterpretedEngine()]
-        )
+        chain = ResilientEngine([CppJitEngine(cache), InterpretedEngine()])
         return cache, chain
 
     @pytest.fixture
@@ -567,7 +581,46 @@ class TestFastLoaderDegradation:
 # env-selected engine degradation vs. explicit selection
 # ----------------------------------------------------------------------
 class TestEngineDegradation:
-    def test_env_selected_cpp_degrades_to_pyjit(self, monkeypatch):
+    def test_env_selected_cpp_degrades_to_pyjit(self, monkeypatch, tmp_path):
+        """A compiler that resolves but fails every build (the hosts the
+        deleted Python JIT engine served): the env-selected cpp engine
+        is built without a warning, and each operation degrades through
+        the fallback chain to interpreted, one warning per spec."""
+        import threading
+
+        from repro.jit import cache as cache_mod
+
+        monkeypatch.setenv("PYGB_BACKEND", "cpp")
+        monkeypatch.setenv("PYGB_CXX", BROKEN_CXX)
+        monkeypatch.delenv("PYGB_CATALOG", raising=False)
+        monkeypatch.delenv("PYGB_JIT_STRICT", raising=False)
+        cache = JitCache(tmp_path)
+        monkeypatch.setattr(cache_mod, "_default", cache)
+        seen = {}
+
+        def worker():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                seen["name"] = gb.current_backend_engine().name
+                seen["resolve_warnings"] = len(caught)
+                u = gb.Vector(([1.0, 2.0], [0, 2]), shape=(4,))
+                seen["sum"] = list(gb.Vector(u + u).to_numpy())
+                seen["warnings"] = [
+                    w for w in caught
+                    if issubclass(w.category, JitFallbackWarning)
+                ]
+
+        t = threading.Thread(target=worker)
+        t.start()
+        t.join()
+        assert seen["name"] == "cpp"
+        assert seen["resolve_warnings"] == 0
+        assert seen["sum"] == [2.0, 0.0, 4.0, 0.0]
+        assert len(seen["warnings"]) == 1
+        assert cache.stats.jit_failures == 1
+        assert cache.stats.compiles == 0
+
+    def test_env_selected_cpp_degrades_to_interpreted(self, monkeypatch):
         import threading
 
         monkeypatch.setenv("PYGB_BACKEND", "cpp")
@@ -586,7 +639,7 @@ class TestEngineDegradation:
         t = threading.Thread(target=worker)
         t.start()
         t.join()
-        assert seen["name"] == "pyjit"
+        assert seen["name"] == "interpreted"
         assert len(seen["warnings"]) == 1
 
     def test_env_selected_cpp_strict_raises(self, monkeypatch):

@@ -2,11 +2,12 @@
 
 Two properties under test, per peephole rule:
 
-* **equivalence** — with ``PYGB_FUSION=1`` the fused kernel produces the
-  same result as the unfused interpreted engine (bit-identical for
-  pyjit, which shares NumPy primitives with the reference; allclose for
-  cpp, whose reductions may re-associate floats) across dtypes, masks
-  (including ``~mask``), accumulators, and the replace flag;
+* **equivalence** — with ``PYGB_FUSION=1`` the fused cpp kernel produces
+  the same result as the unfused interpreted engine (bit-identical for
+  integers; allclose for floats, whose reductions cpp may re-associate)
+  across dtypes, masks (including ``~mask``), accumulators, and the
+  replace flag; and a fused plan whose kernels cannot be built (no
+  working compiler) runs bit-identically on the interpreted rung;
 * **savings** — a :class:`~repro.core.dispatch.CountingEngine` shows each
   rule collapses its producer+consumer pair into one engine call, and the
   traced algorithms (BFS, SSSP, PageRank) issue strictly fewer engine
@@ -28,9 +29,10 @@ from repro.core.plan import Plan, fusion_enabled
 from repro.jit.cppcodegen import CPP_GENERATORS, PARALLEL_FUNCS
 from repro.jit.cppengine import toolchain_works
 from repro.jit.fused_ops import FUSED_OPS
-from repro.jit.pycodegen import GENERATORS
 
-from helpers import mat_from_dict, random_mat_dict, random_vec_dict, vec_from_dict
+from helpers import (
+    mat_from_dict, random_mat_dict, random_vec_dict, use_test_engine, vec_from_dict,
+)
 
 N = 32
 
@@ -157,7 +159,7 @@ def _run_apply_assign(mode, dtype):
 
 
 def _differential(build, engine_name, exact):
-    with _fusion(True), gb.use_engine(engine_name):
+    with _fusion(True), use_test_engine(engine_name):
         got = np.asarray(build())
     with _fusion(False), gb.use_engine("interpreted"):
         want = np.asarray(build())
@@ -168,9 +170,15 @@ def _differential(build, engine_name, exact):
 
 
 # ----------------------------------------------------------------------
-# equivalence: pyjit fused vs interpreted unfused (bit-identical)
+# equivalence: fused plan on a host without a working compiler
 # ----------------------------------------------------------------------
 class TestPyJitDifferential:
+    """The ``pyjit`` id: the cpp stack whose every build fails (see
+    :func:`helpers.no_compiler_engine`).  The plan still fuses, because
+    the chain's primary engine does; each fused kernel build fails and
+    the fused op runs on the interpreted rung's reference kernel, which
+    must be bit-identical to the unfused interpreted run."""
+
     @pytest.mark.parametrize("dtype", [np.float64, np.int64])
     @pytest.mark.parametrize("mode", _VEC_MODES)
     @pytest.mark.parametrize("rule", sorted(_VEC_EXPRS))
@@ -197,54 +205,73 @@ class TestPyJitDifferential:
 
     def test_unary_op_form(self):
         """A named UnaryOp (not a scalar bind) on top of a producer."""
-        inv = gb.UnaryOp("AdditiveInverse")
+        _differential(_unary_op_form, "pyjit", exact=True)
 
-        def build():
-            d = _data(np.float64)
-            A = mat_from_dict(d["A"], N, N, np.float64)
-            u = vec_from_dict(d["u"], N, np.float64)
-            return gb.Vector(gb.apply(inv, A @ u)).to_numpy()
 
-        _differential(build, "pyjit", exact=True)
+def _unary_op_form():
+    inv = gb.UnaryOp("AdditiveInverse")
+    d = _data(np.float64)
+    A = mat_from_dict(d["A"], N, N, np.float64)
+    u = vec_from_dict(d["u"], N, np.float64)
+    return gb.Vector(gb.apply(inv, A @ u)).to_numpy()
 
 
 # ----------------------------------------------------------------------
 # equivalence: cpp fused vs interpreted unfused
 # ----------------------------------------------------------------------
+needs_cxx = pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
+
+_DTYPES = (np.float64, np.int64)
+
+
+def _cpp_differential(build):
+    """Both dtypes: exact for int64, allclose for float64."""
+    for dtype in _DTYPES:
+        _differential(lambda: build(dtype), "cpp", exact=np.dtype(dtype).kind != "f")
+
+
 @pytest.mark.cpp
-@pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
+@needs_cxx
 class TestCppDifferential:
-    @pytest.mark.parametrize("mode", ["plain", "mask"])
+    @pytest.mark.parametrize("mode", _VEC_MODES)
     @pytest.mark.parametrize("rule", sorted(_VEC_EXPRS))
     def test_vector_rules(self, rule, mode):
-        _differential(lambda: _run_vec(rule, mode, np.float64), "cpp", exact=False)
+        _cpp_differential(lambda dtype: _run_vec(rule, mode, dtype))
 
     @pytest.mark.parametrize("rule", sorted(_MAT_EXPRS))
     def test_matrix_rules(self, rule):
-        _differential(lambda: _run_mat(rule, "mask", np.float64), "cpp", exact=False)
+        for mode in _VEC_MODES:
+            _cpp_differential(lambda dtype: _run_mat(rule, mode, dtype))
 
     @pytest.mark.parametrize(
         "rule", ["ewise_add_vec_reduce_scalar", "ewise_mult_vec_reduce_scalar"]
     )
     def test_reduce_rules(self, rule):
-        _differential(lambda: _run_reduce(rule, np.int64), "cpp", exact=True)
+        _cpp_differential(lambda dtype: _run_reduce(rule, dtype))
 
-    @pytest.mark.parametrize("mode", ["full", "masked"])
+    @pytest.mark.parametrize("mode", ["full", "indexed", "masked", "accum"])
     def test_apply_assign(self, mode):
-        _differential(lambda: _run_apply_assign(mode, np.int64), "cpp", exact=True)
+        _cpp_differential(lambda dtype: _run_apply_assign(mode, dtype))
+
+    def test_unary_op_form(self):
+        _differential(_unary_op_form, "cpp", exact=False)
 
 
 # ----------------------------------------------------------------------
 # savings: every rule collapses its pair into one engine call
 # ----------------------------------------------------------------------
 def _counted(fusion_on, fn):
-    eng = CountingEngine(make_engine("pyjit"))
+    eng = CountingEngine(make_engine("cpp"))
     with _fusion(fusion_on), gb.use_engine(eng):
         result = fn()
     return eng, result
 
 
 class TestCallSavings:
+    """Counted on the cpp engine, the only engine that fuses."""
+
+    @pytest.mark.cpp
+    @needs_cxx
     @pytest.mark.parametrize("rule", sorted(_VEC_EXPRS))
     def test_vector_rule_fires(self, rule):
         eng, _ = _counted(True, lambda: _run_vec(rule, "plain", np.float64))
@@ -253,6 +280,8 @@ class TestCallSavings:
         assert rule not in off.counts
         assert off.total == eng.total + 1  # two calls became one
 
+    @pytest.mark.cpp
+    @needs_cxx
     @pytest.mark.parametrize("rule", sorted(_MAT_EXPRS))
     def test_matrix_rule_fires(self, rule):
         eng, _ = _counted(True, lambda: _run_mat(rule, "plain", np.float64))
@@ -261,6 +290,8 @@ class TestCallSavings:
         assert rule not in off.counts
         assert off.total == eng.total + 1
 
+    @pytest.mark.cpp
+    @needs_cxx
     @pytest.mark.parametrize(
         "rule", ["ewise_add_vec_reduce_scalar", "ewise_mult_vec_reduce_scalar"]
     )
@@ -271,6 +302,8 @@ class TestCallSavings:
         assert rule not in off.counts
         assert off.total == eng.total + 1
 
+    @pytest.mark.cpp
+    @needs_cxx
     def test_apply_assign_fires(self):
         eng, _ = _counted(True, lambda: _run_apply_assign("masked", np.float64))
         assert eng.counts.get("apply_assign_vec") == 1
@@ -286,6 +319,8 @@ class TestCallSavings:
         monkeypatch.delenv("PYGB_FUSION")
         assert fusion_enabled()  # default on
 
+    @pytest.mark.cpp
+    @needs_cxx
     def test_algorithms_issue_strictly_fewer_calls(self):
         """Acceptance gate: tracing BFS + SSSP + PageRank, fusion-on
         issues strictly fewer engine calls than fusion-off."""
@@ -305,6 +340,8 @@ class TestCallSavings:
         assert on.total < off.total
         assert on.counts.get("ewise_mult_vec_reduce_scalar", 0) > 0
 
+    @pytest.mark.cpp
+    @needs_cxx
     def test_pagerank_saves_one_call_per_iteration(self):
         from repro.algorithms import pagerank
         from repro.io.generators import erdos_renyi
@@ -330,7 +367,7 @@ class TestPlanIR:
         d = _data(np.float64)
         A = mat_from_dict(d["A"], N, N, np.float64)
         u = vec_from_dict(d["u"], N, np.float64)
-        eng = CountingEngine(make_engine("pyjit"))
+        eng = CountingEngine(make_engine("interpreted"))
         with gb.use_engine(eng):
             e = A @ u
             w1 = gb.Vector(e)
@@ -347,13 +384,15 @@ class TestPlanIR:
         kinds = [node.kind for node in plan.order]
         assert kinds.index("mxv") < kinds.index("apply_vec")
 
+    @pytest.mark.cpp
+    @needs_cxx
     def test_materialised_producer_is_not_fused(self):
         """A producer that was already forced must not be re-executed
         inside a fused kernel (its value may be observed elsewhere)."""
         d = _data(np.float64)
         A = mat_from_dict(d["A"], N, N, np.float64)
         u = vec_from_dict(d["u"], N, np.float64)
-        eng = CountingEngine(make_engine("pyjit"))
+        eng = CountingEngine(make_engine("cpp"))
         with _fusion(True), gb.use_engine(eng):
             e = A @ u
             e.nvals  # forces the producer
@@ -368,13 +407,12 @@ class TestPlanIR:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_every_fused_op_has_all_backends(self):
-        """Each planner rule must have a pyjit generator, a C++ generator,
-        a reference kernel on the interpreted engine, and (for warm-cache
-        stamping) membership in PARALLEL_FUNCS."""
+        """Each planner rule must have a C++ generator, a reference kernel
+        on the interpreted engine, and (for warm-cache stamping)
+        membership in PARALLEL_FUNCS."""
         from repro.backend import kernels as K
 
         names = {op.name for op in FUSED_OPS}
-        assert names <= set(GENERATORS)
         assert names <= set(CPP_GENERATORS)
         assert names <= set(PARALLEL_FUNCS)
         for name in names:

@@ -11,7 +11,7 @@ deterministic ``guard.stats()`` counters, and the ``obs`` event stream.
 The ``slow_kernel`` / ``kernel_fail`` hooks live in the resilience chain
 (which the bare interpreted stack bypasses by design — chaos CI must not
 be able to break the engine of last resort), so the fault-driven
-deadline tests pin the ``pyjit`` engine explicitly.
+deadline tests pin the ``cpp`` engine explicitly and need a toolchain.
 """
 
 import contextlib
@@ -31,9 +31,12 @@ from repro.exceptions import (
     OperationCancelled,
     OperationTimeout,
 )
+from repro.jit.cppengine import toolchain_works
 from repro.testing.faults import FAULTS, FaultPlan, fault_injection
 
 N = 48
+
+needs_cxx = pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
 
 
 @pytest.fixture(autouse=True)
@@ -95,13 +98,14 @@ def _quiet_degrades():
 
 
 class TestDeadlines:
+    @needs_cxx
     def test_slow_kernel_times_out_within_twice_budget(self, monkeypatch):
         """A kernel stalled far past the budget raises OperationTimeout
         roughly *at* the budget (cooperative checks run every 10ms), and
         the process stays fully functional afterwards."""
         monkeypatch.setenv("PYGB_FAULT_SLEEP", "10")
         budget = 0.2
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             a, u = _operands()
             t0 = time.monotonic()
             with pytest.raises(OperationTimeout) as exc_info:
@@ -111,7 +115,7 @@ class TestDeadlines:
             assert elapsed < 2 * budget, f"timeout took {elapsed:.2f}s for {budget}s budget"
             err = exc_info.value
             assert err.op == "mxv"
-            assert err.engine == "pyjit"
+            assert err.engine == "cpp"
             assert err.elapsed is not None and err.elapsed <= elapsed
             assert err.budget == budget
             monkeypatch.delenv("PYGB_FAULT_SLEEP")
@@ -119,10 +123,11 @@ class TestDeadlines:
             assert _mxv(a, u) == _mxv(a, u)
         assert guard.stats()["timeouts_total"] == 1
 
+    @needs_cxx
     def test_env_op_timeout(self, monkeypatch):
         """$PYGB_OP_TIMEOUT guards every op with no scope in sight."""
         monkeypatch.setenv("PYGB_FAULT_SLEEP", "10")
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             a, u = _operands()
             monkeypatch.setenv("PYGB_OP_TIMEOUT", "0.15")
             with pytest.raises(OperationTimeout) as exc_info:
@@ -149,11 +154,12 @@ class TestDeadlines:
             with gb.deadline(seconds=0.001) as tight:
                 assert tight.deadline_at < outer.deadline_at
 
+    @needs_cxx
     def test_scope_survives_timeout_and_blocks_followups(self, monkeypatch):
         """One expiry poisons the rest of the scope (fail-fast), but the
         next scope starts fresh."""
         monkeypatch.setenv("PYGB_FAULT_SLEEP", "10")
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             a, u = _operands()
             with gb.deadline(seconds=0.1) as dl:
                 with pytest.raises(OperationTimeout):
@@ -173,11 +179,12 @@ class TestDeadlines:
 
 
 class TestCancellation:
+    @needs_cxx
     def test_cancel_from_another_thread(self, monkeypatch):
         """A pure-cancel scope (no timer) cancelled mid-op from another
         thread raises OperationCancelled, never OperationTimeout."""
         monkeypatch.setenv("PYGB_FAULT_SLEEP", "10")
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             a, u = _operands()
             with pytest.raises(OperationCancelled) as exc_info:
                 with gb.deadline() as dl:
@@ -265,12 +272,13 @@ class TestDegradationLadder:
         assert "quarantined tiling ops" in out
         assert "mxv" in out and "injected tile-worker crash" in out
 
+    @needs_cxx
     def test_deadline_expiry_is_not_degraded(self, monkeypatch):
         """A deadline blown inside the fan-out must NOT trigger a
         monolithic re-run (which would blow the budget a second time):
         it surfaces as OperationTimeout and leaves tiling healthy."""
         monkeypatch.setenv("PYGB_FAULT_SLEEP", "10")
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             a, u = _operands()
             with gb.tiled(tiles=4, workers=2):
                 with pytest.raises(OperationTimeout):
@@ -312,17 +320,19 @@ class TestDegradationLadder:
 
 
 class TestKernelFaults:
+    @needs_cxx
     def test_kernel_fail_falls_back_down_the_chain(self):
         """A runtime kernel crash on the primary engine retries on the
         next engine in the fallback chain, transparently."""
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             a, u = _operands()
             clean = _mxv(a, u)
             with fault_injection("kernel_fail", rate=1.0, times=1):
                 assert _mxv(a, u) == clean
 
+    @needs_cxx
     def test_kernel_fail_exhausting_chain_raises(self):
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             a, u = _operands()
             with fault_injection("kernel_fail", rate=1.0):
                 with pytest.raises(KernelExecutionError, match="injected kernel failure"):
@@ -351,6 +361,7 @@ class TestNonblockingFaults:
             w3[None] = u + v
         return w1, w2, w3
 
+    @needs_cxx
     def test_flush_isolates_poisoned_entry(self):
         """One queue entry whose replay crashes must not drop or
         double-apply its neighbours: the rest of the queue replays in
@@ -360,13 +371,13 @@ class TestNonblockingFaults:
 
         eager = tuple(w._store.to_dict() for w in self._three_stores())
         errors_before = nb_stats()["flush_errors"]
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             with gb.nonblocking():
                 from repro.core.nonblocking import pending
 
                 w1, w2, w3 = self._three_stores()
                 assert pending() == 3
-                # exhaust the fallback chain (pyjit + interpreted) for
+                # exhaust the fallback chain (cpp + interpreted) for
                 # exactly the first replayed entry
                 FAULTS.install("kernel_fail", rate=1.0, times=2)
                 with pytest.raises(KernelExecutionError):
@@ -392,6 +403,7 @@ class TestNonblockingFaults:
         assert chaotic == eager
         assert nb_stats()["flushes"] > flushes_before
 
+    @needs_cxx
     def test_timeout_during_flush_still_drains_queue(self, monkeypatch):
         """A deadline expiring mid-flush poisons the in-flight entry but
         the queue still fully drains (no entry is silently dropped into
@@ -399,7 +411,7 @@ class TestNonblockingFaults:
         from repro.core.nonblocking import pending
 
         monkeypatch.setenv("PYGB_FAULT_SLEEP", "10")
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             with pytest.raises(OperationTimeout):
                 with gb.deadline(seconds=0.15):
                     with gb.nonblocking():
@@ -440,11 +452,12 @@ class TestFaultConfig:
 
 
 class TestObservability:
+    @needs_cxx
     def test_guard_events_roll_up_into_stats(self, monkeypatch):
         from repro.obs.stats import merge_stats, render_stats
 
         monkeypatch.setenv("PYGB_FAULT_SLEEP", "10")
-        with use_engine("pyjit"):
+        with use_engine("cpp"):
             a, u = _operands()
             with gb.tracing() as tr:
                 with pytest.raises(OperationTimeout):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro as gb
+from helpers import use_test_engine
 from repro.jit.cppengine import toolchain_works
 
 N = 6
@@ -90,7 +91,7 @@ class TestSubscriptFuzz:
     def test_extract_agrees_across_engines(self, entries, sub):
         outcomes = {}
         for name in ENGINES:
-            with gb.use_engine(name):
+            with use_test_engine(name):
                 outcomes[name] = _extract(entries, sub)
         baseline = outcomes["interpreted"]
         for name, got in outcomes.items():
@@ -101,7 +102,7 @@ class TestSubscriptFuzz:
     def test_assign_agrees_across_engines(self, entries, sub):
         outcomes = {}
         for name in ENGINES:
-            with gb.use_engine(name):
+            with use_test_engine(name):
                 outcomes[name] = _assign(entries, sub)
         baseline = outcomes["interpreted"]
         for name, got in outcomes.items():
@@ -110,7 +111,7 @@ class TestSubscriptFuzz:
 
 @pytest.fixture(params=ENGINES)
 def any_engine(request):
-    with gb.use_engine(request.param):
+    with use_test_engine(request.param):
         yield request.param
 
 

@@ -1,5 +1,5 @@
-"""Differential tests: every vectorised kernel (under both the
-interpreted and the Python-JIT engines) against the naive dict-of-keys
+"""Differential tests: every vectorised kernel (under the interpreted
+engine) against the naive dict-of-keys
 reference implementation, across randomized inputs and the full grid of
 descriptor variants (mask × complement × replace × accumulate)."""
 

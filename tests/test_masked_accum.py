@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro as gb
+from helpers import use_test_engine
 from repro.jit.cppengine import toolchain_works
 
 ENGINES = ["interpreted", "pyjit"] + (["cpp"] if toolchain_works() else [])
@@ -19,7 +20,7 @@ ENGINES = ["interpreted", "pyjit"] + (["cpp"] if toolchain_works() else [])
 
 @pytest.fixture(params=ENGINES)
 def any_engine(request):
-    with gb.use_engine(request.param):
+    with use_test_engine(request.param):
         yield request.param
 
 
@@ -124,7 +125,7 @@ class TestDifferentialAgainstInterpreted:
 
         with gb.use_engine("interpreted"):
             expected = run()
-        with gb.use_engine(engine_name):
+        with use_test_engine(engine_name):
             got = run()
         assert got == pytest.approx(expected)
 

@@ -292,7 +292,7 @@ def test_nested_contexts_flush_only_at_outer_exit(engine):
 # ----------------------------------------------------------------------
 
 @contextlib.contextmanager
-def _counting(engine_name="pyjit"):
+def _counting(engine_name="interpreted"):
     eng = CountingEngine(make_engine(engine_name))
     with gb.use_engine(eng):
         yield eng
@@ -351,13 +351,15 @@ def test_copy_elision_requires_equal_dtype(engine):
     assert w._store.to_dict() == {0: 1, 2: 2, 5: 3}
 
 
+@pytest.mark.cpp
+@pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
 def test_cross_statement_substitution_fuses(engine):
     """t = u + v; w = apply(t); t = overwritten — the consumer stitches the
     producer's tree, the producer dies, and one fused kernel runs."""
     u, v, w = _vecs()
     t = gb.Vector(shape=(N,), dtype=float)
     reset_stats()
-    with _counting() as eng:
+    with _counting("cpp") as eng:
         with gb.nonblocking():
             with gb.BinaryOp("Plus"):
                 t[None] = u + v
@@ -552,7 +554,7 @@ def test_pygb_mode_env(tmp_path):
         "assert pending() == 0\n"
         "print('ok')\n"
     )
-    env = dict(os.environ, PYGB_MODE="nonblocking", PYGB_BACKEND="pyjit")
+    env = dict(os.environ, PYGB_MODE="nonblocking", PYGB_BACKEND="interpreted")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(os.path.dirname(__file__), "..", "src"),
          env.get("PYTHONPATH", "")]
@@ -597,7 +599,7 @@ def test_pagerank_fewer_dispatches(engine):
     m = erdos_renyi(60, seed=7, weighted=False, dtype=float)
 
     def run(nonblocking):
-        eng = CountingEngine(make_engine("pyjit"))
+        eng = CountingEngine(make_engine("interpreted"))
         pr = gb.Vector(shape=(60,), dtype=float)
         ctx = gb.nonblocking() if nonblocking else contextlib.nullcontext()
         with gb.use_engine(eng):

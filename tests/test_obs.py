@@ -139,12 +139,15 @@ class TestChromeSink:
 
 
 class TestCacheEvents:
+    @pytest.mark.cpp
     def test_compile_and_hits_recorded(self, tmp_path, monkeypatch):
         # a fresh cache dir forces a compile, the second call a memory hit
         from repro.jit.cache import JitCache
-        from repro.jit.pyengine import PyJitEngine
+        from repro.jit.cppengine import CppJitEngine, toolchain_works
 
-        eng = PyJitEngine(cache=JitCache(cache_dir=tmp_path))
+        if not toolchain_works():
+            pytest.skip("no working C++ toolchain")
+        eng = CppJitEngine(cache=JitCache(cache_dir=tmp_path))
         a = gb.Matrix(([1.0], ([0], [1])), shape=(2, 2))
         u = gb.Vector(([1.0, 1.0], [0, 1]), shape=(2,))
         w = gb.Vector(shape=(2,), dtype=float)
@@ -161,7 +164,7 @@ class TestStats:
     def test_quantiles_from_log2_hist(self):
         agg = StatsAggregator()
         for dur in [100, 100, 100, 100_000]:
-            agg.note_span("op_x", "op", dur, {"engine": "pyjit"})
+            agg.note_span("op_x", "op", dur, {"engine": "cpp"})
         hist = agg.snapshot()["ops"]["op_x"]["hist"]
         assert sum(hist) == 4
         assert quantile_ns(hist, 0.5) == pytest.approx(96, rel=0.5)
@@ -177,12 +180,12 @@ class TestStats:
 
     def test_merge_is_additive(self):
         agg = StatsAggregator()
-        agg.note_span("mxv", "op", 1000, {"engine": "pyjit", "fused": False})
+        agg.note_span("mxv", "op", 1000, {"engine": "cpp", "fused": False})
         one = agg.snapshot()
         merged = merge_stats(one, one)
         assert merged["ops"]["mxv"]["count"] == 2
         assert merged["ops"]["mxv"]["total_ns"] == 2000
-        assert merged["ops"]["mxv"]["engines"] == {"pyjit": 2}
+        assert merged["ops"]["mxv"]["engines"] == {"cpp": 2}
         assert sum(merged["ops"]["mxv"]["hist"]) == 2
 
     def test_persist_merges_across_processes(self, tmp_path):
@@ -218,7 +221,7 @@ class TestStatsCli:
 
         path = tmp_path / "stats.json"
         agg = StatsAggregator()
-        agg.note_span("mxv", "op", 1500, {"engine": "pyjit", "fused": False})
+        agg.note_span("mxv", "op", 1500, {"engine": "cpp", "fused": False})
         persist_stats(agg.snapshot(), path)
         assert main(["stats", "--file", str(path)]) == 0
         out = capsys.readouterr().out

@@ -74,6 +74,15 @@ class TestBinarySemantics:
         out = ot.apply_binary("Div", np.asarray([5]), np.asarray([0]))
         assert out[0] == 0
 
+    def test_div_ints_exact_at_int64_extremes(self):
+        """Integer Div never detours through float64: INT64_MAX / 1 stays
+        INT64_MAX and quotients above 2**53 keep every bit."""
+        big = np.iinfo(np.int64)
+        a = np.array([big.max, big.min, big.max, -(2**53 + 1), 2**62 + 3, big.min])
+        b = np.array([1, 1, -1, 1, 3, -1])
+        want = [big.max, big.min, -big.max, -(2**53 + 1), (2**62 + 3) // 3, big.min]
+        assert ot.apply_binary("Div", a, b).tolist() == want
+
     def test_first_second_preserve_left_right(self):
         a = np.array([1, 2, 3])
         b = np.array([9, 8, 7])

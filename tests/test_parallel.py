@@ -217,7 +217,7 @@ def test_concurrent_get_module_compiles_each_spec_once(tmp_path):
             barrier.wait()
             spec = specs[i % len(specs)]
             results[i] = cache.get_module(
-                spec, generate, suffix=".cpp", compiler=compiler
+                spec, generate, compiler=compiler
             )
         except Exception as exc:  # pragma: no cover - failure reporting
             errors.append(exc)
@@ -246,7 +246,7 @@ def test_precompile_report_and_idempotence(tmp_path):
     def compiler(src_path, out_path):
         out_path.write_text("binary")
 
-    jobs = [(s, generate, ".cpp", compiler) for s in specs]
+    jobs = [(s, generate, compiler) for s in specs]
     report = cache.precompile(jobs, max_workers=3)
     assert report["requested"] == 6
     assert report["compiled"] == 6
@@ -268,7 +268,7 @@ def test_precompile_collects_failures(tmp_path):
         raise RuntimeError("boom")
 
     report = cache.precompile(
-        [(KernelSpec.make("fake", variant="bad"), generate, ".cpp", bad_compiler)]
+        [(KernelSpec.make("fake", variant="bad"), generate, bad_compiler)]
     )
     assert report["compiled"] == 0
     assert len(report["failed"]) == 1
@@ -281,9 +281,9 @@ def test_precompile_collects_failures(tmp_path):
 def test_warm_cache_covers_algorithms(rng, no_faults):
     """After warm_cache, running every bundled algorithm (operation-wise
     and whole-module) must be all cache hits — zero inline compiles.
-    (Compile-count exact, so ambient chaos injection is opted out: an
-    injected ``kernel_fail`` on a cpp dispatch falls back to pyjit,
-    whose module is an inline compile warm_cache never promised.)"""
+    (Counter-exact, so ambient chaos injection is opted out: an injected
+    ``kernel_fail`` on a cpp dispatch falls back to the interpreted
+    engine and skips the cache lookup the test counts.)"""
     from repro.algorithms import (
         bfs_levels,
         connected_components,

@@ -14,11 +14,13 @@ import pytest
 import repro as gb
 from repro.backend.kernels import OpDesc
 from repro.backend.svector import SparseVector
-from repro.exceptions import BackendUnavailable, CompilationError
+from repro.core.dispatch import InterpretedEngine, ResilientEngine
+from repro.exceptions import BackendUnavailable, CompilationError, JitFallbackWarning
 from repro.jit.cache import JitCache
-from repro.jit.pycodegen import generate_source
-from repro.jit.pyengine import PyJitEngine
+from repro.jit.cppengine import toolchain_works
 from repro.jit.spec import KernelSpec
+
+from helpers import BROKEN_CXX, fake_compile, fake_source
 
 
 def _spec(**extra):
@@ -42,7 +44,7 @@ class TestConcurrency:
         def worker():
             try:
                 barrier.wait()
-                results.append(cache.get_module(spec, generate_source))
+                results.append(cache.get_module(spec, fake_source, fake_compile))
             except Exception as exc:  # pragma: no cover - diagnostic
                 errors.append(exc)
 
@@ -53,7 +55,7 @@ class TestConcurrency:
             t.join()
         assert not errors
         assert cache.stats.compiles == 1
-        assert all(m is results[0] for m in results)
+        assert all(p == results[0] for p in results)
 
     def test_concurrent_dsl_use_across_threads(self, tmp_path):
         """Different threads share the engine's cache safely and keep
@@ -85,27 +87,27 @@ class TestFailureInjection:
         disk hit and is rebuilt in place — the caller never sees it."""
         cache = JitCache(tmp_path)
         spec = _spec()
-        cache.get_module(spec, generate_source)
+        cache.get_module(spec, fake_source, fake_compile)
         cache.clear_memory()
-        artifact = next(tmp_path.glob("pygb_mxv_*.py"))
-        artifact.write_text("def run(:::  # truncated write")
-        module = cache.get_module(spec, generate_source)
-        assert hasattr(module, "run")
+        artifact = next(tmp_path.glob("pygb_mxv_*.so"))
+        whole = artifact.read_bytes()
+        artifact.write_bytes(bytes(len(whole)))  # same size, wrong bytes
+        assert cache.get_module(spec, fake_source, fake_compile) == artifact
         assert cache.stats.integrity_rebuilds == 1
         # the rebuilt artifact is whole again
-        assert "def run(:::" not in artifact.read_text()
+        assert artifact.read_bytes() == whole
 
     def test_truncated_artifact_with_stale_manifest_rebuilt(self, tmp_path):
         """Truncation (killed mid-write) is caught by the size fast path."""
         cache = JitCache(tmp_path)
         spec = _spec()
-        cache.get_module(spec, generate_source)
+        cache.get_module(spec, fake_source, fake_compile)
         cache.clear_memory()
-        artifact = next(tmp_path.glob("pygb_mxv_*.py"))
+        artifact = next(tmp_path.glob("pygb_mxv_*.so"))
         data = artifact.read_bytes()
         artifact.write_bytes(data[: len(data) // 2])
-        module = cache.get_module(spec, generate_source)
-        assert hasattr(module, "run")
+        cache.get_module(spec, fake_source, fake_compile)
+        assert artifact.read_bytes() == data
         assert cache.stats.integrity_rebuilds == 1
 
     def test_generator_exception_propagates(self, tmp_path):
@@ -115,15 +117,15 @@ class TestFailureInjection:
             raise RuntimeError("generator exploded")
 
         with pytest.raises(RuntimeError):
-            cache.get_module(_spec(), broken)
+            cache.get_module(_spec(), broken, fake_compile)
         # and nothing half-written is left behind to poison later lookups
-        assert not list(tmp_path.glob("pygb_mxv_*.py"))
-        cache.get_module(_spec(), generate_source)  # recovers
+        assert not list(tmp_path.glob("pygb_mxv_*"))
+        cache.get_module(_spec(), fake_source, fake_compile)  # recovers
 
     def test_cache_dir_created_on_demand(self, tmp_path):
         target = tmp_path / "deep" / "nested" / "cache"
         cache = JitCache(target)
-        cache.get_module(_spec(), generate_source)
+        cache.get_module(_spec(), fake_source, fake_compile)
         assert target.is_dir()
 
     def test_version_bump_isolates_artifacts(self, tmp_path):
@@ -145,8 +147,6 @@ class TestFailureInjection:
 class TestCppFailureInjection:
     @pytest.fixture(autouse=True)
     def _need_compiler(self):
-        from repro.jit.cppengine import toolchain_works
-
         if not toolchain_works():
             pytest.skip("no working C++ toolchain")
 
@@ -157,7 +157,7 @@ class TestCppFailureInjection:
         with pytest.raises(CompilationError) as exc:
             eng.cache.get_module(
                 _spec(), lambda s: "this is not C++ at all;",
-                suffix=".cpp", compiler=eng._compile,
+                compiler=eng._compile,
             )
         assert "g++" in str(exc.value) or "error" in str(exc.value)
 
@@ -180,8 +180,30 @@ class TestExplicitEngineSelection:
 
 
 class TestEngineRobustness:
-    def test_pyjit_engine_survives_cache_clear_mid_session(self, tmp_path):
-        eng = PyJitEngine(JitCache(tmp_path))
+    def test_pyjit_engine_survives_cache_clear_mid_session(self, tmp_path, monkeypatch, no_faults):
+        """The cpp stack of a host whose compiler fails every build (the
+        hosts the deleted Python JIT engine served) keeps serving after
+        its cache directory is wiped between two calls."""
+        from repro.jit.cppengine import CppJitEngine
+
+        monkeypatch.setenv("PYGB_CXX", BROKEN_CXX)
+        cpp = CppJitEngine(JitCache(tmp_path))
+        eng = ResilientEngine([cpp, InterpretedEngine()])
+        u = SparseVector.from_coo(4, [0], [1.0])
+        w = SparseVector.empty(4, np.float64)
+        with pytest.warns(JitFallbackWarning):
+            eng.ewise_add_vec(w, u, u, "Plus", OpDesc())
+        cpp.cache.clear_disk()
+        out = eng.ewise_add_vec(w, u, u, "Plus", OpDesc())
+        assert out.to_dict() == {0: 2.0}
+        assert cpp.cache.stats.fallbacks == 2
+
+    @pytest.mark.cpp
+    @pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
+    def test_cpp_engine_survives_cache_clear_mid_session(self, tmp_path):
+        from repro.jit.cppengine import CppJitEngine
+
+        eng = CppJitEngine(JitCache(tmp_path))
         u = SparseVector.from_coo(4, [0], [1.0])
         w = SparseVector.empty(4, np.float64)
         eng.ewise_add_vec(w, u, u, "Plus", OpDesc())

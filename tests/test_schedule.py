@@ -12,7 +12,7 @@ Four layers of coverage:
   arithmetic and logical (early-exit) semirings, in blocking and
   nonblocking execution;
 * **determinism** — the edges-examined counters are engine-independent:
-  interpreted and pyjit report identical numbers for a forced direction;
+  interpreted and cpp report identical numbers for a forced direction;
 * **integration** — BFS under ``schedule="push"`` examines fewer edges
   than the dense sweep on a power-law graph; a pinned direction refuses
   plan fusion but still computes the right answer; the frontier
@@ -31,12 +31,15 @@ from repro import schedule as S
 from repro.backend.kernels import OpDesc
 from repro.core.context import use_engine
 from repro.core.dispatch import CountingEngine, make_engine
+from repro.jit.cppengine import toolchain_works
 
 from helpers import mat_from_dict, random_mat_dict, random_vec_dict, vec_from_dict
 
 MODES = ("fixed", "push", "pull", "auto")
 
 N = 24
+
+needs_cxx = pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
 
 
 @pytest.fixture(autouse=True)
@@ -337,17 +340,21 @@ class TestBitIdentity:
 
 
 class TestCounterDeterminism:
+    @pytest.mark.cpp
+    @needs_cxx
     @pytest.mark.parametrize("mode", ["fixed", "push", "pull"])
     def test_edges_match_across_engines(self, rng, mode):
         a, u, mask = _containers(rng)
         per_engine = {}
-        for eng in ("interpreted", "pyjit"):
+        for eng in ("interpreted", "cpp"):
             S.reset_stats()
             with use_engine(eng):
                 result = _traversal(mode, a, u, mask, ta=True)
             per_engine[eng] = (S.stats(), result)
-        (si, ri), (sj, rj) = per_engine["interpreted"], per_engine["pyjit"]
-        assert ri == rj
+        (si, ri), (sj, rj) = per_engine["interpreted"], per_engine["cpp"]
+        # cpp may re-associate the float sums; the counters must match exactly
+        assert ri.keys() == rj.keys()
+        assert list(rj.values()) == pytest.approx(list(ri.values()), rel=1e-12)
         assert si["edges"] == sj["edges"]
         assert si["calls"] == sj["calls"]
         direction = {"fixed": "dense"}.get(mode, mode)
@@ -423,6 +430,8 @@ class TestAlgorithms:
         assert st["edges_total"] * 2 <= S.stats()["edges"]["dense"]
 
 
+@pytest.mark.cpp
+@needs_cxx
 class TestFusionGate:
     def _fused_shape(self, mode):
         """`(A @ u) * 2` — the mxv+apply pair the planner fuses."""
@@ -430,7 +439,7 @@ class TestFusionGate:
         a = mat_from_dict(random_mat_dict(rng, N, N, density=0.25), N, N)
         u = vec_from_dict(random_vec_dict(rng, N, density=0.5), N)
         out = gb.Vector(shape=(N,), dtype=np.float64)
-        eng = CountingEngine(make_engine("pyjit"))
+        eng = CountingEngine(make_engine("cpp"))
         with gb.use_engine(eng), S.Scheduled(mode), gb.ArithmeticSemiring:
             out[None] = (a @ u) * 2
         return eng, out._store.to_dict()

@@ -5,6 +5,7 @@ import pytest
 
 import repro as gb
 from repro.exceptions import InvalidValue, UnknownOperator
+from repro.jit.cppengine import toolchain_works
 
 from helpers import mat_from_dict, random_mat_dict
 
@@ -165,11 +166,13 @@ class TestKronecker:
         assert g.shape == (16, 16)
         assert g.nvals == 3**4  # nnz multiplies per power
 
+    @pytest.mark.cpp
+    @pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
     def test_kron_engines_agree(self, rng):
         a = mat_from_dict(random_mat_dict(rng, 3, 3), 3, 3)
         b = mat_from_dict(random_mat_dict(rng, 3, 3), 3, 3)
         outs = []
-        for name in ("interpreted", "pyjit"):
+        for name in ("interpreted", "cpp"):
             with gb.use_engine(name):
                 outs.append(gb.Matrix(gb.kron(a, b)).to_numpy())
         assert np.array_equal(outs[0], outs[1])

@@ -449,3 +449,54 @@ class TestBackendMemoReentrancy:
                 or (isinstance(first, tuple) and all(a is b for a, b in zip(r, first)))
                 for r in results
             )
+
+
+# ----------------------------------------------------------------------
+# the CLI's --engine reaches the admission workers
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.cpp
+def test_cli_engine_flag_reaches_admission_workers(tmp_path):
+    """``python -m repro --engine cpp serve`` runs its batches on cpp: the
+    flag sets the process-wide default, so the admission worker threads
+    resolve it too (a per-thread ``use_engine`` alone never reached
+    them).  The persisted per-op stats name the engine of every op."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.jit.cppengine import toolchain_works
+
+    if not toolchain_works():
+        pytest.skip("no working C++ toolchain")
+    manifest = tmp_path / "graphs.json"
+    manifest.write_text(json.dumps({
+        "graphs": {"ring": {"generator": "ring_graph", "nodes": 16}}
+    }))
+    stats_path = tmp_path / "stats.json"
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYGB_")}
+    env["PYGB_CACHE_DIR"] = os.environ["PYGB_CACHE_DIR"]
+    env["PYGB_STATS"] = str(stats_path)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "--engine", "cpp", "serve",
+         "--port", "0", "--graphs", str(manifest)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        banner = proc.stdout.readline()
+        assert banner.startswith("pygb service on "), banner + proc.stderr.read()
+        host, port = banner.split()[-1].rsplit(":", 1)
+        srv = type("Addr", (), {"host": host, "port": int(port)})
+        resp = ask(srv, [{"op": "run", "graph": "ring", "algorithm": "bfs",
+                          "source": 0}], timeout=120.0)[0]
+        assert resp["ok"], resp
+    finally:
+        proc.send_signal(signal.SIGINT)
+        proc.communicate(timeout=60)
+    ops = json.loads(stats_path.read_text())["ops"]
+    engines = {name for op in ops.values() for name in op["engines"]}
+    assert engines == {"cpp"}

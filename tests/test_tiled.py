@@ -30,10 +30,13 @@ from repro.backend.tiled import (
     row_block,
     slice_vec_rows,
 )
+from repro.jit.cppengine import toolchain_works
 from repro.jit.fused_ops import FUSED_OPS
 from repro.jit.fusion import Fused, fuse_expression
 
 N = 48  # large enough that 4 row tiles are all non-trivial
+
+needs_cxx = pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +258,6 @@ def test_env_var_configuration(engine, name, monkeypatch):
 @pytest.mark.cpp
 @pytest.mark.parametrize("name", ["mxv", "mxm", "ewise_mat"])
 def test_tiled_matches_monolithic_cpp(name):
-    from repro.jit.cppengine import toolchain_works
-
     if not toolchain_works():
         pytest.skip("no working C++ toolchain")
     prog = PROGRAMS[name]
@@ -397,13 +398,15 @@ class TestFusionGate:
         with gb.ArithmeticSemiring:
             return gb.apply(gb.UnaryOp("Plus", 1), a @ u)
 
+    @needs_cxx
     def test_tile_safe_rules_still_fuse_over_tiled_operands(self):
         from repro.core.dispatch import make_engine
 
         expr = self._fusable_expr()
-        root = fuse_expression(expr, make_engine("pyjit"))
+        root = fuse_expression(expr, make_engine("cpp"))
         assert isinstance(root, Fused)  # the engine fans the fused kernel
 
+    @needs_cxx
     def test_unsafe_rule_refuses_tiled_operands(self):
         from repro.core.dispatch import make_engine
 
@@ -411,11 +414,12 @@ class TestFusionGate:
         expr = self._fusable_expr()
         object.__setattr__(rule, "tile_safe", False)
         try:
-            root = fuse_expression(expr, make_engine("pyjit"))
+            root = fuse_expression(expr, make_engine("cpp"))
         finally:
             object.__setattr__(rule, "tile_safe", True)
         assert not isinstance(root, Fused)
 
+    @needs_cxx
     def test_unsafe_rule_still_fuses_monolithic_operands(self):
         from repro.core.dispatch import make_engine
 
@@ -426,7 +430,7 @@ class TestFusionGate:
         rule = next(op for op in FUSED_OPS if op.name == "mxv_apply")
         object.__setattr__(rule, "tile_safe", False)
         try:
-            root = fuse_expression(expr, make_engine("pyjit"))
+            root = fuse_expression(expr, make_engine("cpp"))
         finally:
             object.__setattr__(rule, "tile_safe", True)
         assert isinstance(root, Fused)

@@ -159,7 +159,7 @@ class TestCppUserOps:
 
     def test_user_op_without_cxx_degrades_on_cpp(self, cleanup, monkeypatch):
         """A Python-only operator cannot compile to C++; the resilient
-        chain degrades to pyjit with a warning, and ``PYGB_JIT_STRICT=1``
+        chain degrades to the interpreted engine with a warning, and ``PYGB_JIT_STRICT=1``
         restores the raise."""
         from repro.exceptions import CompilationError, JitFallbackWarning
 
