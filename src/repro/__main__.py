@@ -129,26 +129,16 @@ def cmd_engines(args) -> int:
 
 
 def cmd_precompile(args) -> int:
-    from .jit.cppengine import (
-        compiler_available,
-        find_cxx_compiler,
-        openmp_available,
-    )
+    from .jit.cppengine import compiler_available, find_cxx_compiler
     from .jit.precompile import warm_cache
 
     if not compiler_available():
         print("no C++ toolchain (g++/c++) on PATH — nothing to precompile")
         return 1
-    cxx = find_cxx_compiler()
-    print(f"compiler: {cxx}")
-    print(f"OpenMP:   {'yes' if openmp_available(cxx) else 'no (serial kernels)'}")
-    report = warm_cache(
-        parallel=False if args.serial else None,
-        max_workers=args.jobs,
-    )
-    flavour = "parallel" if report["parallel"] else "serial"
+    print(f"compiler: {find_cxx_compiler()}")
+    report = warm_cache(max_workers=args.jobs)
     print(
-        f"warmed {report['requested']} {flavour} kernels with "
+        f"warmed {report['requested']} kernels with "
         f"{report['jobs']} concurrent jobs in {report['seconds']:.2f}s: "
         f"{report['compiled']} compiled, {report['disk_hits']} already on disk, "
         f"{report['memory_hits']} in memory"
@@ -167,24 +157,16 @@ def cmd_precompile(args) -> int:
 
 def cmd_bake(args) -> int:
     from .jit.catalog import bake_catalog, validate_catalog
-    from .jit.cppengine import compiler_available, find_cxx_compiler, openmp_available
+    from .jit.cppengine import compiler_available, find_cxx_compiler
 
     if not compiler_available():
         print("error: no C++ toolchain on PATH — nothing to bake", file=sys.stderr)
         return 1
-    cxx = find_cxx_compiler()
-    print(f"compiler: {cxx}")
-    print(f"OpenMP:   {'yes' if openmp_available(cxx) else 'no (serial kernels)'}")
-    parallel = None
-    if args.serial:
-        parallel = False
-    elif args.parallel:
-        parallel = True
-    report = bake_catalog(args.out, parallel=parallel, max_workers=args.jobs)
-    flavour = "parallel" if report["parallel"] else "serial"
+    print(f"compiler: {find_cxx_compiler()}")
+    report = bake_catalog(args.out, max_workers=args.jobs)
     print(
         f"baked {report['entries']} compiled .so catalog entries "
-        f"[{flavour}] into {report['out']} with "
+        f"into {report['out']} with "
         f"{report['jobs']} concurrent jobs in {report['seconds']:.2f}s"
     )
     print(
@@ -192,8 +174,6 @@ def cmd_bake(args) -> int:
         f"{report['compiled']} built now, {report['disk_hits']} already in the pack, "
         f"{len(report['failed'])} failed"
     )
-    if report["cpp_skipped"]:
-        print(f"cpp flavour skipped: {report['cpp_skipped']}")
     for key, err in report["failed"]:
         print(f"FAILED {key}: {err}", file=sys.stderr)
     # round-trip: re-read the pack exactly the way a consumer process will
@@ -270,7 +250,6 @@ def cmd_doctor(args) -> int:
     from .jit.cppengine import (
         compile_timeout,
         find_cxx_compiler,
-        openmp_available,
         toolchain_works,
     )
     from .jit.health import jit_retries, jit_strict
@@ -287,7 +266,7 @@ def cmd_doctor(args) -> int:
             "cpp kernels will quarantine and fall back"
         )
     else:
-        print(f"compiler:        {cxx} (OpenMP: {'yes' if openmp_available(cxx) else 'no'})")
+        print(f"compiler:        {cxx}")
     location = f"{cache.cache_dir}"
     if cache.relocated:
         location += "  (RELOCATED: configured cache dir was unwritable)"
@@ -323,8 +302,7 @@ def cmd_doctor(args) -> int:
     if cache.catalog is not None:
         print(
             f"catalog:         {cache.catalog.root} "
-            f"({len(cache.catalog)} entries, "
-            f"{'parallel' if cache.catalog.parallel else 'serial'} cpp flavour)"
+            f"({len(cache.catalog)} entries)"
         )
     elif cache.catalog_error:
         print(f"catalog:         REJECTED — {cache.catalog_error}")
@@ -526,10 +504,6 @@ def main(argv=None) -> int:
         "--jobs", type=int, default=None,
         help="concurrent compile jobs (default: $PYGB_COMPILE_JOBS or auto)",
     )
-    p.add_argument(
-        "--serial", action="store_true",
-        help="warm serial kernels even when OpenMP is available",
-    )
     p.set_defaults(fn=cmd_precompile)
 
     p = sub.add_parser(
@@ -543,15 +517,6 @@ def main(argv=None) -> int:
     p.add_argument(
         "--jobs", type=int, default=None,
         help="concurrent compile jobs (default: $PYGB_COMPILE_JOBS or auto)",
-    )
-    flavour = p.add_mutually_exclusive_group()
-    flavour.add_argument(
-        "--parallel", action="store_true",
-        help="bake OpenMP cpp kernels even when the engine default is serial",
-    )
-    flavour.add_argument(
-        "--serial", action="store_true",
-        help="bake serial cpp kernels even when OpenMP is available",
     )
     p.set_defaults(fn=cmd_bake)
 

@@ -52,16 +52,9 @@ class _AlgoRunner:
         self._libs: dict[str, ctypes.CDLL] = {}
 
     def lib(self, func: str, vtype, scalar_out: bool = False) -> ctypes.CDLL:
-        params = {"vtype": KernelSpec.dt(vtype)}
-        if self._engine.parallel_enabled():
-            # whole-algorithm modules inline the mini-GBTL kernels, so
-            # building with -fopenmp parallelises their inner loops too
-            params["par"] = True
-        spec = KernelSpec.make(func, **params)
+        spec = KernelSpec.make(func, vtype=KernelSpec.dt(vtype))
         artifact = default_cache().get_module(
-            spec,
-            generate_algorithm_source,
-            compiler=self._engine.compiler_for(spec),
+            spec, generate_algorithm_source, compiler=self._engine._compile
         )
         key = str(artifact)
         lib = self._libs.get(key)

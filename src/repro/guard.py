@@ -23,8 +23,8 @@ The engine stack becomes ``Tracing(Guard(Partitioned(Resilient(...))))``:
   tiles and bounds its future waits, and C++ kernels poll an atomic flag
   exported over the FFI boundary (``pygb_request_cancel`` /
   ``pygb_cancel_requested`` externs; the kernel returns the ``-2``
-  sentinel instead of unwinding C++ exceptions across OpenMP regions or
-  ``extern "C"`` frames, which would be undefined behaviour).
+  sentinel instead of unwinding a C++ exception across the
+  ``extern "C"`` frame, which would be undefined behaviour).
 * The **degradation ladder** for the tiled plane: a tile worker that
   raises or hangs cancels the remaining futures, discards partials, and
   transparently re-executes the op monolithically; repeated failures

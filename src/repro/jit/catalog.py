@@ -94,14 +94,12 @@ def _result_dtypes(add: str, mult: str, d: str) -> tuple[str, str]:
     return t, c
 
 
-def _semiring_grid(parallel: bool) -> list[KernelSpec]:
+def _semiring_grid() -> list[KernelSpec]:
     """mxv/vxm over every predefined semiring × grid dtype, in every
     schedule direction the engine can actually pick: ``dense`` and
     ``push`` unmasked, ``push``/``pull`` under the traversal mask
     (``schedule.resolve`` only offers ``pull`` when a mask bounds the
     gather candidates, so there is no unmasked-pull variant to bake)."""
-    from .cppcodegen import PARALLEL_FUNCS
-
     specs = []
     for add, mult in _SEMIRING_PAIRS:
         # the logical semiring's native operand dtype is bool (BFS
@@ -129,33 +127,26 @@ def _semiring_grid(parallel: bool) -> list[KernelSpec]:
                 ("vxm", dict(base, dir="push",
                              **{**_UNMASKED, "accum": "Second"})),
             ]
-            for func, params in shapes:
-                if parallel and func in PARALLEL_FUNCS:
-                    params["par"] = True
-                specs.append(KernelSpec.make(func, **params))
+            specs += [KernelSpec.make(func, **params) for func, params in shapes]
     return specs
 
 
-def _reduction_grid(parallel: bool) -> list[KernelSpec]:
+def _reduction_grid() -> list[KernelSpec]:
     """``reduce_rows`` over every monoid a predefined semiring adds
     with, per grid dtype — the rank-normalisation step of PageRank-style
     loops (`v << A.reduce_rows()`)."""
     from ..backend.ops_table import binary_result_dtype
-    from .cppcodegen import PARALLEL_FUNCS
 
     monoids = sorted({add for add, _ in _SEMIRING_PAIRS})
     specs = []
     for op in monoids:
         for d in _GRID_DTYPES:
             c = KernelSpec.dt(binary_result_dtype(op, d, d))
-            params = dict(a=d, c=c, op=op, **_UNMASKED)
-            if parallel and "reduce_rows" in PARALLEL_FUNCS:
-                params["par"] = True
-            specs.append(KernelSpec.make("reduce_rows", **params))
+            specs.append(KernelSpec.make("reduce_rows", a=d, c=c, op=op, **_UNMASKED))
     return specs
 
 
-def _elementwise_grid(parallel: bool) -> list[KernelSpec]:
+def _elementwise_grid() -> list[KernelSpec]:
     """The hot non-semiring companions every algorithm-shaped loop
     dispatches between its mxv/vxm steps: vector eWise combine, the
     scalar-bound apply (PageRank's damping multiply), the same-dtype
@@ -163,7 +154,6 @@ def _elementwise_grid(parallel: bool) -> list[KernelSpec]:
     float graph), and whole-container scalar reductions (convergence
     checks, sums)."""
     from ..backend.ops_table import binary_result_dtype
-    from .cppcodegen import PARALLEL_FUNCS
 
     specs = []
     for d in _GRID_DTYPES:
@@ -181,20 +171,15 @@ def _elementwise_grid(parallel: bool) -> list[KernelSpec]:
         for func in ("reduce_mat_scalar", "reduce_vec_scalar"):
             for op in ("Plus", "Min", "Max"):
                 shapes.append((func, dict(a=d, op=op)))
-        for func, params in shapes:
-            if parallel and func in PARALLEL_FUNCS:
-                params["par"] = True
-            specs.append(KernelSpec.make(func, **params))
+        specs += [KernelSpec.make(func, **params) for func, params in shapes]
     return specs
 
 
-def _fused_grid(parallel: bool) -> list[KernelSpec]:
+def _fused_grid() -> list[KernelSpec]:
     """One representative spec per fused-pair shape in ``FUSED_OPS``,
     instantiated for the float64 arithmetic semiring with the planner's
     most common absorbed apply (``x * const`` — PageRank's damping
     step), mirroring the spec construction in ``cppengine``."""
-    from .cppcodegen import PARALLEL_FUNCS
-
     f = "float64"
     apply_parts = dict(form="bind", uop="Times", side="second")
     by_name = {
@@ -224,8 +209,6 @@ def _fused_grid(parallel: bool) -> list[KernelSpec]:
         params = dict(by_name[rule.name], fused=True)
         if rule.output != "scalar":
             params.update(_UNMASKED)
-        if parallel and rule.name in PARALLEL_FUNCS:
-            params["par"] = True
         specs.append(KernelSpec.make(rule.name, **params))
     return specs
 
@@ -240,18 +223,18 @@ def _dedup(specs: list[KernelSpec]) -> list[KernelSpec]:
     return out
 
 
-def catalog_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
+def catalog_kernel_specs() -> list[KernelSpec]:
     """The hot per-operation spec space, deduplicated by key hash:
     the traced algorithm kernel set (tier 1 — reuses ``precompile.py``'s
     list and therefore its drift guard), the predefined-semiring grid
     with its row-reduction companions (tier 2) and the fused-pair
     shapes (tier 3)."""
     return _dedup(
-        algorithm_kernel_specs(parallel)
-        + _semiring_grid(parallel)
-        + _reduction_grid(parallel)
-        + _elementwise_grid(parallel)
-        + _fused_grid(parallel)
+        algorithm_kernel_specs()
+        + _semiring_grid()
+        + _reduction_grid()
+        + _elementwise_grid()
+        + _fused_grid()
     )
 
 
@@ -269,7 +252,6 @@ class KernelCatalog:
 
     def __init__(self, root: Path, data: dict):
         self.root = Path(root)
-        self.parallel = bool(data.get("parallel", False))
         self.entries: dict[tuple[str, str], dict] = {}
         for entry in data.get("entries", []):
             self.entries[(entry["key_hash"], entry["kind"])] = entry
@@ -368,7 +350,6 @@ def load_catalog(path: str | os.PathLike, cache: JitCache | None = None) -> Kern
 # ----------------------------------------------------------------------
 def bake_catalog(
     out_dir: str | os.PathLike,
-    parallel: bool | None = None,
     max_workers: int | None = None,
 ) -> dict:
     """Build the full catalog spec space into *out_dir* and write
@@ -397,19 +378,14 @@ def bake_catalog(
         from .cppengine import CppJitEngine
 
         engine = CppJitEngine(cache)
-        if parallel is None:
-            parallel = engine.parallel_enabled()
-        kernel_specs = catalog_kernel_specs(parallel)
-        module_specs = algorithm_module_specs(parallel)
+        kernel_specs = catalog_kernel_specs()
+        module_specs = algorithm_module_specs()
         specs = kernel_specs + module_specs
-        for spec in kernel_specs:
-            jobs.append((spec, generate_cpp_source, engine.compiler_for(spec)))
-        for spec in module_specs:
-            jobs.append((spec, generate_algorithm_source,
-                         engine.compiler_for(spec)))
+        jobs = [(spec, generate_cpp_source, engine._compile) for spec in kernel_specs]
+        jobs += [(spec, generate_algorithm_source, engine._compile)
+                 for spec in module_specs]
     except BackendUnavailable as exc:
         cpp_skipped = str(exc)
-    parallel = bool(parallel)
 
     t0 = time.perf_counter()
     report = cache.precompile(jobs, max_workers=max_workers)
@@ -440,7 +416,6 @@ def bake_catalog(
         "schema": CATALOG_SCHEMA_VERSION,
         "codegen_version": CODEGEN_VERSION,
         "cache_format_version": CACHE_FORMAT_VERSION,
-        "parallel": parallel,
         "entries": entries,
     }
     cache._atomic_write(out_dir / CATALOG_FILENAME,
@@ -450,7 +425,6 @@ def bake_catalog(
         out=str(out_dir),
         entries=len(entries),
         missing=missing,
-        parallel=parallel,
         cpp_skipped=cpp_skipped,
         seconds=time.perf_counter() - t0,
     )

@@ -33,37 +33,7 @@ def cxx_name(token) -> str:
     name = _cxx_name(token)
     return "uint8_t" if name == "bool" else name
 
-__all__ = ["generate_cpp_source", "CPP_GENERATORS", "CPP_SUPPORTED", "PARALLEL_FUNCS"]
-
-#: operations whose mini-GBTL kernels carry OpenMP implementations; the
-#: ``cpp`` engine marks their specs ``par=1`` (and compiles the artifact
-#: with ``-fopenmp``) when parallel execution is enabled, so serial and
-#: parallel shared objects coexist in the cache under distinct hashes
-PARALLEL_FUNCS = frozenset({
-    "mxv",
-    "vxm",
-    "mxm",
-    "ewise_add_mat",
-    "ewise_mult_mat",
-    "apply_vec",
-    "apply_mat",
-    "reduce_rows",
-    "reduce_vec_scalar",
-    "reduce_mat_scalar",
-    # fused kernels compose the parallel primitives above, so their
-    # specs carry the same par flag (keeps warm_cache stamping in sync
-    # with CppJitEngine._spec)
-    "mxv_apply",
-    "vxm_apply",
-    "ewise_add_vec_apply",
-    "ewise_mult_vec_apply",
-    "ewise_add_mat_apply",
-    "ewise_mult_mat_apply",
-    "mxm_reduce_rows",
-    "apply_assign_vec",
-    "ewise_add_vec_reduce_scalar",
-    "ewise_mult_vec_reduce_scalar",
-})
+__all__ = ["generate_cpp_source", "CPP_GENERATORS", "CPP_SUPPORTED"]
 
 
 def _cxx_header(spec: KernelSpec) -> str:

@@ -44,7 +44,7 @@ from ..backend.svector import SparseVector
 from ..exceptions import BackendUnavailable, CompilationError, OperationCancelled
 from ..testing.faults import FAULTS
 from .cache import JitCache, default_cache
-from .cppcodegen import PARALLEL_FUNCS, generate_cpp_source
+from .cppcodegen import generate_cpp_source
 from .gbtl_lite import GBTL_LITE_HEADER, HEADER_FILENAME
 from .spec import KernelSpec
 
@@ -54,7 +54,6 @@ __all__ = [
     "compiler_available",
     "toolchain_works",
     "openmp_available",
-    "parallel_requested",
     "compile_timeout",
 ]
 
@@ -104,52 +103,15 @@ def compiler_available() -> bool:
     return find_cxx_compiler() is not None
 
 
-# ----------------------------------------------------------------------
-# OpenMP support probe (one tiny test compile per compiler, memoised)
-# ----------------------------------------------------------------------
-_OPENMP_PROBES: dict[str, bool] = {}
-_PROBE_LOCK = threading.Lock()
-
-
-def _probe_openmp(cxx: str) -> bool:
-    source = (
-        "#include <omp.h>\n"
-        'extern "C" int pygb_probe() { return omp_get_max_threads(); }\n'
-    )
-    try:
-        with tempfile.TemporaryDirectory(prefix="pygb_omp_probe_") as td:
-            src = Path(td) / "probe.cpp"
-            src.write_text(source)
-            out = Path(td) / "probe.so"
-            proc = subprocess.run(
-                [cxx, "-std=c++17", "-shared", "-fPIC", "-fopenmp",
-                 str(src), "-o", str(out)],
-                capture_output=True,
-                text=True,
-            )
-            return proc.returncode == 0 and out.exists()
-    except OSError:
-        return False
-
-
 def openmp_available(cxx: str | None = None) -> bool:
-    """Whether *cxx* (default: the discovered compiler) accepts
-    ``-fopenmp``; probed once per compiler path with a tiny test compile
-    and cached for the life of the process."""
-    cxx = cxx or find_cxx_compiler()
-    if cxx is None:
-        return False
-    with _PROBE_LOCK:
-        cached = _OPENMP_PROBES.get(cxx)
-    if cached is not None:
-        return cached
-    result = _probe_openmp(cxx)
-    with _PROBE_LOCK:
-        _OPENMP_PROBES[cxx] = result
-    return result
+    """Always ``False``: kernels are built serial, and nothing is compiled
+    to find out.  Kept for its one caller, ``perfbench/common.py``'s
+    ``config_stamp``, which records it in every benchmark result."""
+    return False
 
 
 _TOOLCHAIN_PROBES: dict[str, bool] = {}
+_PROBE_LOCK = threading.Lock()
 
 
 def _probe_toolchain(cxx: str) -> bool:
@@ -189,15 +151,6 @@ def toolchain_works(cxx: str | None = None) -> bool:
     with _PROBE_LOCK:
         _TOOLCHAIN_PROBES[cxx] = result
     return result
-
-
-def parallel_requested() -> bool:
-    """The ``$PYGB_PARALLEL`` runtime switch (default: on).  Re-read on
-    every dispatch so it can be toggled without rebuilding engines."""
-    value = os.environ.get("PYGB_PARALLEL")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("", "0", "false", "off", "no")
 
 
 def _scalar_pair(value, prefer_float: bool):
@@ -305,20 +258,6 @@ class CppJitEngine:
     # ------------------------------------------------------------------
     # compilation plumbing
     # ------------------------------------------------------------------
-    def parallel_enabled(self) -> bool:
-        """Whether new specs should request OpenMP kernels: the
-        ``$PYGB_PARALLEL`` switch is on *and* the compiler passed the
-        ``-fopenmp`` probe (silent serial fallback otherwise)."""
-        return parallel_requested() and openmp_available(self.cxx)
-
-    def _spec(self, func: str, **params) -> KernelSpec:
-        """Build the kernel spec, marking parallel-capable operations
-        ``par=1`` so serial and OpenMP artifacts hash (and cache)
-        separately."""
-        if func in PARALLEL_FUNCS and self.parallel_enabled():
-            params["par"] = True
-        return KernelSpec.make(func, **params)
-
     def _ensure_header(self) -> None:
         if self._header_written:
             return
@@ -334,17 +273,15 @@ class CppJitEngine:
                 os.replace(tmp, path)
             self._header_written = True
 
-    def _compile(self, src_path: Path, out_path: Path, parallel: bool = False) -> None:
+    def _compile(self, src_path: Path, out_path: Path) -> None:
         self._ensure_header()
         if FAULTS.fire("compile_fail"):
             raise CompilationError(f"injected compile failure for {src_path.name}")
         tmp = out_path.with_name(
             f"{out_path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
-        cmd = [self.cxx, "-std=c++17", "-O2", "-shared", "-fPIC"]
-        if parallel and openmp_available(self.cxx):
-            cmd.append("-fopenmp")
-        cmd += [f"-I{self.cache.cache_dir}", str(src_path), "-o", str(tmp)]
+        cmd = [self.cxx, "-std=c++17", "-O2", "-shared", "-fPIC",
+               f"-I{self.cache.cache_dir}", str(src_path), "-o", str(tmp)]
         timeout = compile_timeout()
         if FAULTS.fire("slow_compile"):
             # a sleeper in place of the compiler, so the timeout
@@ -372,15 +309,6 @@ class CppJitEngine:
             # dlopen itself fails with a clean OSError
             data = out_path.read_bytes()
             out_path.write_bytes(data[:512])
-
-    def _compile_parallel(self, src_path: Path, out_path: Path) -> None:
-        self._compile(src_path, out_path, parallel=True)
-
-    def compiler_for(self, spec: KernelSpec):
-        """The compile callable matching *spec*: ``par=1`` specs build
-        with ``-fopenmp`` (when supported), everything else with the
-        serial flag set."""
-        return self._compile_parallel if spec.flag("par") else self._compile
 
     def _lib(self, spec: KernelSpec, scalar_out: bool = False) -> ctypes.CDLL:
         """Compiled module for *spec*, with the resilience wrapper: a
@@ -412,7 +340,7 @@ class CppJitEngine:
 
     def _load_lib(self, spec: KernelSpec, scalar_out: bool) -> ctypes.CDLL:
         artifact = self.cache.get_module(
-            spec, generate_cpp_source, compiler=self.compiler_for(spec)
+            spec, generate_cpp_source, compiler=self._compile
         )
         key = str(artifact)
         with self._libs_lock:
@@ -427,7 +355,7 @@ class CppJitEngine:
             # the artifact, recompile once, then give up on this engine
             self.cache.invalidate(spec)
             artifact = self.cache.get_module(
-                spec, generate_cpp_source, compiler=self.compiler_for(spec),
+                spec, generate_cpp_source, compiler=self._compile,
             )
             try:
                 lib = self._dlopen(artifact)
@@ -586,7 +514,7 @@ class CppJitEngine:
         elif ta:
             a = a.transposed()
         extra = {"dir": direction} if direction != "dense" else {}
-        spec = self._spec(
+        spec = KernelSpec.make(
             "mxv",
             a=KernelSpec.dt(a.dtype),
             u=KernelSpec.dt(u.dtype),
@@ -625,7 +553,7 @@ class CppJitEngine:
         elif ta:
             a = a.transposed()
         extra = {"dir": "pull"} if direction == "pull" else {}
-        spec = self._spec(
+        spec = KernelSpec.make(
             "vxm",
             a=KernelSpec.dt(a.dtype),
             u=KernelSpec.dt(u.dtype),
@@ -659,7 +587,7 @@ class CppJitEngine:
             a = a.transposed()
         if tb:
             b = b.transposed()
-        spec = self._spec(
+        spec = KernelSpec.make(
             "mxm",
             a=KernelSpec.dt(a.dtype),
             b=KernelSpec.dt(b.dtype),
@@ -678,7 +606,7 @@ class CppJitEngine:
         return self._run_mat_out(lib, p, out.nrows, out.ncols, out.dtype)
 
     def _ewise_vec(self, func, out, u, v, op, desc):
-        spec = self._spec(
+        spec = KernelSpec.make(
             func,
             a=KernelSpec.dt(u.dtype),
             b=KernelSpec.dt(v.dtype),
@@ -706,7 +634,7 @@ class CppJitEngine:
             a = a.transposed()
         if tb:
             b = b.transposed()
-        spec = self._spec(
+        spec = KernelSpec.make(
             func,
             a=KernelSpec.dt(a.dtype),
             b=KernelSpec.dt(b.dtype),
@@ -741,7 +669,7 @@ class CppJitEngine:
 
     def apply_vec(self, out, u, op_spec, desc):
         dconst, iconst, form, op, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
+        spec = KernelSpec.make(
             "apply_vec",
             a=KernelSpec.dt(u.dtype),
             c=KernelSpec.dt(out.dtype),
@@ -763,7 +691,7 @@ class CppJitEngine:
         if ta:
             a = a.transposed()
         dconst, iconst, form, op, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
+        spec = KernelSpec.make(
             "apply_mat",
             a=KernelSpec.dt(a.dtype),
             c=KernelSpec.dt(out.dtype),
@@ -785,7 +713,7 @@ class CppJitEngine:
         if identity is None:
             identity = DEFAULT_IDENTITY_NAME[op]
         ident = identity_value(identity, x.dtype)
-        spec = self._spec(func, a=KernelSpec.dt(x.dtype), op=op)
+        spec = KernelSpec.make(func, a=KernelSpec.dt(x.dtype), op=op)
         lib = self._lib(spec, scalar_out=True)
         dt = np.dtype(x.dtype)
         out = np.zeros(1, dtype=np.uint8 if dt == np.bool_ else dt)
@@ -811,7 +739,7 @@ class CppJitEngine:
     def reduce_rows(self, out, a, op, desc, ta=False):
         if ta:
             a = a.transposed()
-        spec = self._spec(
+        spec = KernelSpec.make(
             "reduce_rows",
             a=KernelSpec.dt(a.dtype),
             c=KernelSpec.dt(out.dtype),
@@ -826,7 +754,7 @@ class CppJitEngine:
         return self._run_vec_out(lib, p, out.size, out.dtype)
 
     def assign_vec(self, out, u, idx, desc):
-        spec = self._spec(
+        spec = KernelSpec.make(
             "assign_vec",
             a=KernelSpec.dt(u.dtype),
             c=KernelSpec.dt(out.dtype),
@@ -841,7 +769,7 @@ class CppJitEngine:
         return self._run_vec_out(lib, p, out.size, out.dtype)
 
     def assign_vec_scalar(self, out, value, idx, desc):
-        spec = self._spec(
+        spec = KernelSpec.make(
             "assign_vec_scalar",
             c=KernelSpec.dt(out.dtype),
             **_desc_params(desc),
@@ -857,7 +785,7 @@ class CppJitEngine:
         return self._run_vec_out(lib, p, out.size, out.dtype)
 
     def extract_vec(self, out, u, idx, desc):
-        spec = self._spec(
+        spec = KernelSpec.make(
             "extract_vec",
             a=KernelSpec.dt(u.dtype),
             c=KernelSpec.dt(out.dtype),
@@ -895,7 +823,7 @@ class CppJitEngine:
 
         def add_job(spec):
             jobs.append(
-                (spec, generate_cpp_source, self.compiler_for(spec))
+                (spec, generate_cpp_source, self._compile)
             )
 
         def fused_apply(node, out_dt, dp):
@@ -918,7 +846,7 @@ class CppJitEngine:
                 )
                 tdt = binary_result_dtype(child.mult_op, lhs, rhs)
                 pdt = binary_result_dtype(child.add_op, tdt, tdt)
-                add_job(self._spec(
+                add_job(KernelSpec.make(
                     "mxv_apply" if ck is ex.MXV else "vxm_apply",
                     a=KernelSpec.dt(dt(child.a)),
                     u=KernelSpec.dt(dt(child.u)),
@@ -936,7 +864,7 @@ class CppJitEngine:
             elif ck in (ex.EWiseAdd, ex.EWiseMult):
                 pdt = binary_result_dtype(child.op, dt(child.a), dt(child.b))
                 shape = "mat" if child.produces_matrix else "vec"
-                add_job(self._spec(
+                add_job(KernelSpec.make(
                     f"{child.kind}_{shape}_apply",
                     a=KernelSpec.dt(dt(child.a)),
                     b=KernelSpec.dt(dt(child.b)),
@@ -975,7 +903,7 @@ class CppJitEngine:
                     else (dt(node.u), dt(node.a))
                 )
                 tdt = binary_result_dtype(node.mult_op, lhs, rhs)
-                add_job(self._spec(
+                add_job(KernelSpec.make(
                     "mxv" if kind is ex.MXV else "vxm",
                     a=KernelSpec.dt(dt(node.a)),
                     u=KernelSpec.dt(dt(node.u)),
@@ -987,7 +915,7 @@ class CppJitEngine:
                 ))
             elif kind is ex.MXM:
                 tdt = binary_result_dtype(node.mult_op, dt(node.a), dt(node.b))
-                add_job(self._spec(
+                add_job(KernelSpec.make(
                     "mxm",
                     a=KernelSpec.dt(dt(node.a)),
                     b=KernelSpec.dt(dt(node.b)),
@@ -1000,7 +928,7 @@ class CppJitEngine:
             elif kind in (ex.EWiseAdd, ex.EWiseMult):
                 tdt = binary_result_dtype(node.op, dt(node.a), dt(node.b))
                 shape = "mat" if node.produces_matrix else "vec"
-                add_job(self._spec(
+                add_job(KernelSpec.make(
                     f"{node.kind}_{shape}",
                     a=KernelSpec.dt(dt(node.a)),
                     b=KernelSpec.dt(dt(node.b)),
@@ -1012,7 +940,7 @@ class CppJitEngine:
             elif kind is ex.Apply:
                 _d, _i, form, op, side = self._apply_spec_parts(node.op_spec, out_dt)
                 shape = "mat" if node.produces_matrix else "vec"
-                add_job(self._spec(
+                add_job(KernelSpec.make(
                     f"apply_{shape}",
                     a=KernelSpec.dt(dt(node.a)),
                     c=KernelSpec.dt(out_dt),
@@ -1022,7 +950,7 @@ class CppJitEngine:
                     **dp,
                 ))
             elif kind is ex.ReduceRows:
-                add_job(self._spec(
+                add_job(KernelSpec.make(
                     "reduce_rows",
                     a=KernelSpec.dt(dt(node.a)),
                     c=KernelSpec.dt(out_dt),
@@ -1047,7 +975,7 @@ class CppJitEngine:
         tdt = binary_result_dtype(mult, a.dtype, u.dtype)
         pdt = binary_result_dtype(add, tdt, tdt)
         dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
+        spec = KernelSpec.make(
             "mxv_apply",
             a=KernelSpec.dt(a.dtype),
             u=KernelSpec.dt(u.dtype),
@@ -1078,7 +1006,7 @@ class CppJitEngine:
         tdt = binary_result_dtype(mult, u.dtype, a.dtype)
         pdt = binary_result_dtype(add, tdt, tdt)
         dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
+        spec = KernelSpec.make(
             "vxm_apply",
             a=KernelSpec.dt(a.dtype),
             u=KernelSpec.dt(u.dtype),
@@ -1106,7 +1034,7 @@ class CppJitEngine:
     def _ewise_vec_apply(self, func, out, u, v, op, op_spec, desc):
         pdt = binary_result_dtype(op, u.dtype, v.dtype)
         dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
+        spec = KernelSpec.make(
             func,
             a=KernelSpec.dt(u.dtype),
             b=KernelSpec.dt(v.dtype),
@@ -1143,7 +1071,7 @@ class CppJitEngine:
             b = b.transposed()
         pdt = binary_result_dtype(op, a.dtype, b.dtype)
         dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, out.dtype)
-        spec = self._spec(
+        spec = KernelSpec.make(
             func,
             a=KernelSpec.dt(a.dtype),
             b=KernelSpec.dt(b.dtype),
@@ -1184,7 +1112,7 @@ class CppJitEngine:
             b = b.transposed()
         tdt = binary_result_dtype(mult, a.dtype, b.dtype)
         pdt = binary_result_dtype(add, tdt, tdt)
-        spec = self._spec(
+        spec = KernelSpec.make(
             "mxm_reduce_rows",
             a=KernelSpec.dt(a.dtype),
             b=KernelSpec.dt(b.dtype),
@@ -1210,7 +1138,7 @@ class CppJitEngine:
 
         pdt = apply_result_dtype(op_spec, u.dtype)
         dconst, iconst, form, uop, side = self._apply_spec_parts(op_spec, pdt)
-        spec = self._spec(
+        spec = KernelSpec.make(
             "apply_assign_vec",
             a=KernelSpec.dt(u.dtype),
             c=KernelSpec.dt(out.dtype),
@@ -1236,7 +1164,7 @@ class CppJitEngine:
         if identity is None:
             identity = DEFAULT_IDENTITY_NAME[rop]
         ident = identity_value(identity, pdt)
-        spec = self._spec(
+        spec = KernelSpec.make(
             func,
             a=KernelSpec.dt(u.dtype),
             b=KernelSpec.dt(v.dtype),

@@ -9,16 +9,10 @@ the C++ engine compiles (semiring mxv/vxm/mxm with dense-accumulator
 Gustavson SpGEMM, sorted-merge eWise ops, apply/reduce, assign/extract,
 and the shared masked accumulate-write stage).
 
-The hot kernels carry OpenMP row-parallel implementations guarded by
-``#ifdef _OPENMP``: the *same* header compiles both the serial artifact
-(no ``-fopenmp``, pragmas ignored, original single-threaded loops) and
-the parallel one (``-fopenmp``, chosen per spec by the ``cpp`` engine —
-see ``PYGB_PARALLEL``/``PYGB_THREADS`` in ``cppengine``).  Row-parallel
-kernels (mxv, mxm, eWise mat, apply, reduce_rows) fold each row in the
-serial order and are bit-identical to the serial build for any thread
-count; vxm and the scalar reductions re-associate across fixed blocks,
-which for non-associative float ⊕ may differ from serial by ULPs (the
-sparsity pattern is always identical).
+Every kernel is serial, as in the paper's one ``g++ -O2`` artifact per
+binding file; each compute sweep polls the cancellation flag.  Parallelism
+lives one level up, in the row-tile plane (``PYGB_TILES``), which runs
+disjoint row blocks of one operation on worker threads.
 
 The header text is written once into the JIT cache directory; per-spec
 binding translation units ``#include`` it (see
@@ -44,9 +38,6 @@ GBTL_LITE_HEADER = r"""
 #include <limits>
 #include <type_traits>
 #include <vector>
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 namespace GB {
 
@@ -86,12 +77,11 @@ inline int64_t& edges_examined_ref() {
 // cooperative cancellation.  The Python watchdog thread asserts this flag
 // through the FFI boundary (pygb_request_cancel) while a kernel runs on a
 // DIFFERENT thread, so it must be one process-wide atomic per loaded
-// library — NOT thread_local.  Long serial row sweeps poll it every 1024
-// iterations and break; the generated writeback stage then returns the
+// library — NOT thread_local.  Every compute sweep (mxv/vxm/mxm, the pull
+// variants, the matrix eWise merges, reduce_rows) polls it every 1024
+// iterations and breaks; the generated writeback stage then returns the
 // -2 sentinel instead of exporting a partial result (no C++ exception
-// ever crosses an OpenMP region or the extern "C" frame — that would be
-// undefined behaviour).  OpenMP-parallel paths run to completion; the
-// sentinel check after them still discards the result promptly.
+// ever crosses the extern "C" frame — that would be undefined behaviour).
 // ---------------------------------------------------------------------
 inline std::atomic<int64_t>& cancel_flag_ref() {
     static std::atomic<int64_t> flag{0};
@@ -100,25 +90,6 @@ inline std::atomic<int64_t>& cancel_flag_ref() {
 
 inline bool cancel_requested() {
     return cancel_flag_ref().load(std::memory_order_relaxed) != 0;
-}
-
-// ---------------------------------------------------------------------
-// threading runtime.  Serial artifacts are compiled from this same file
-// without -fopenmp: the pragmas vanish and num_threads() pins to 1, so
-// every kernel below takes its original single-threaded path.
-// ---------------------------------------------------------------------
-inline int num_threads() {
-#ifdef _OPENMP
-    // re-read each call so PYGB_THREADS can be flipped at runtime
-    if (const char* s = std::getenv("PYGB_THREADS")) {
-        char* end = nullptr;
-        const long v = std::strtol(s, &end, 10);
-        if (end != s && v > 0) return static_cast<int>(v);
-    }
-    return omp_get_max_threads();
-#else
-    return 1;
-#endif
 }
 
 // ---------------------------------------------------------------------
@@ -259,29 +230,6 @@ Vec<TT> mxv(const CSR<TA>& A, const Vec<TU>& u, AddOp add, MultOp mult) {
         up[u.idx[k]] = 1;
     }
     Vec<TT> out; out.size = A.nrows;
-#ifdef _OPENMP
-    if (num_threads() > 1 && A.nrows >= 256) {
-        // row-parallel: each row folds in the serial order, so the result
-        // is bit-identical to the serial build for any thread count
-        std::vector<TT> racc(A.nrows);
-        std::vector<uint8_t> rany(A.nrows, 0);
-        #pragma omp parallel for schedule(dynamic, 512) num_threads(num_threads())
-        for (Index i = 0; i < A.nrows; ++i) {
-            TT acc{}; bool any = false;
-            for (Index p = A.indptr[i]; p < A.indptr[i + 1]; ++p) {
-                const Index j = A.indices[p];
-                if (!up[j]) continue;
-                const TT prod = mult(static_cast<TT>(A.values[p]), ud[j]);
-                acc = any ? add(acc, prod) : prod;
-                any = true;
-            }
-            racc[i] = acc; rany[i] = any;
-        }
-        for (Index i = 0; i < A.nrows; ++i)
-            if (rany[i]) { out.idx.push_back(i); out.val.push_back(racc[i]); }
-        return out;
-    }
-#endif
     for (Index i = 0; i < A.nrows; ++i) {
         if ((i & 1023) == 0 && cancel_requested()) break;
         TT acc{}; bool any = false;
@@ -300,45 +248,6 @@ Vec<TT> mxv(const CSR<TA>& A, const Vec<TU>& u, AddOp add, MultOp mult) {
 // w = u ⊕.⊗ A : scatter along the rows u touches, O(Σ nnz(A(k,:)))
 template <class TT, class TA, class TU, class AddOp, class MultOp>
 Vec<TT> vxm(const Vec<TU>& u, const CSR<TA>& A, AddOp add, MultOp mult) {
-#ifdef _OPENMP
-    const Index u_nnz = static_cast<Index>(u.idx.size());
-    const int nt = num_threads();
-    if (nt > 1 && u_nnz >= 64) {
-        // each thread scatters a contiguous block of u's entries into a
-        // private dense accumulator; blocks combine in block order, so
-        // the output pattern is exactly the serial one and values only
-        // re-associate across block boundaries (ULP-level for float ⊕)
-        std::vector<std::vector<TT>> bacc(nt);
-        std::vector<std::vector<uint8_t>> bhas(nt);
-        #pragma omp parallel num_threads(nt)
-        {
-            const int t = omp_get_thread_num();
-            auto& acc = bacc[t];
-            auto& has = bhas[t];
-            acc.assign(A.ncols, TT{});
-            has.assign(A.ncols, 0);
-            const Index lo = u_nnz * t / nt, hi = u_nnz * (t + 1) / nt;
-            for (Index k = lo; k < hi; ++k) {
-                const Index row = u.idx[k];
-                const TT uv = static_cast<TT>(u.val[k]);
-                for (Index p = A.indptr[row]; p < A.indptr[row + 1]; ++p) {
-                    const Index j = A.indices[p];
-                    const TT prod = mult(uv, static_cast<TT>(A.values[p]));
-                    if (has[j]) acc[j] = add(acc[j], prod);
-                    else { acc[j] = prod; has[j] = 1; }
-                }
-            }
-        }
-        Vec<TT> out; out.size = A.ncols;
-        for (Index j = 0; j < A.ncols; ++j) {
-            TT a{}; bool got = false;
-            for (int t = 0; t < nt; ++t)
-                if (bhas[t][j]) { a = got ? add(a, bacc[t][j]) : bacc[t][j]; got = true; }
-            if (got) { out.idx.push_back(j); out.val.push_back(a); }
-        }
-        return out;
-    }
-#endif
     std::vector<TT> acc(A.ncols);
     std::vector<uint8_t> has(A.ncols, 0);
     for (size_t k = 0; k < u.idx.size(); ++k) {
@@ -445,49 +354,6 @@ template <class TT, class TA, class TB, class AddOp, class MultOp>
 CSR<TT> mxm(const CSR<TA>& A, const CSR<TB>& B, AddOp add, MultOp mult) {
     CSR<TT> out; out.nrows = A.nrows; out.ncols = B.ncols;
     out.indptr.assign(A.nrows + 1, 0);
-#ifdef _OPENMP
-    if (num_threads() > 1 && A.nrows >= 64) {
-        // parallel Gustavson: per-thread dense workspace, per-row result
-        // buffers, then a prefix-sum stitch — rows compute in the serial
-        // operation order, so the product is bit-identical to serial
-        std::vector<std::vector<Index>> ridx(A.nrows);
-        std::vector<std::vector<TT>> rval(A.nrows);
-        #pragma omp parallel num_threads(num_threads())
-        {
-            std::vector<TT> acc(B.ncols);
-            std::vector<Index> mark(B.ncols, -1);
-            std::vector<Index> touched;
-            #pragma omp for schedule(dynamic, 64)
-            for (Index i = 0; i < A.nrows; ++i) {
-                touched.clear();
-                for (Index p = A.indptr[i]; p < A.indptr[i + 1]; ++p) {
-                    const Index k = A.indices[p];
-                    const TT av = static_cast<TT>(A.values[p]);
-                    for (Index q = B.indptr[k]; q < B.indptr[k + 1]; ++q) {
-                        const Index j = B.indices[q];
-                        const TT prod = mult(av, static_cast<TT>(B.values[q]));
-                        if (mark[j] == i) acc[j] = add(acc[j], prod);
-                        else { mark[j] = i; acc[j] = prod; touched.push_back(j); }
-                    }
-                }
-                std::sort(touched.begin(), touched.end());
-                ridx[i].assign(touched.begin(), touched.end());
-                rval[i].reserve(touched.size());
-                for (const Index j : touched) rval[i].push_back(acc[j]);
-            }
-        }
-        for (Index i = 0; i < A.nrows; ++i)
-            out.indptr[i + 1] = out.indptr[i] + static_cast<Index>(ridx[i].size());
-        out.indices.resize(out.indptr[A.nrows]);
-        out.values.resize(out.indptr[A.nrows]);
-        #pragma omp parallel for schedule(static) num_threads(num_threads())
-        for (Index i = 0; i < A.nrows; ++i) {
-            std::copy(ridx[i].begin(), ridx[i].end(), out.indices.begin() + out.indptr[i]);
-            std::copy(rval[i].begin(), rval[i].end(), out.values.begin() + out.indptr[i]);
-        }
-        return out;
-    }
-#endif
     std::vector<TT> acc(B.ncols);
     std::vector<Index> mark(B.ncols, -1);
     std::vector<Index> touched;
@@ -559,51 +425,8 @@ template <class TT, class TA, class TB, class Op>
 CSR<TT> ewise_add_mat(const CSR<TA>& A, const CSR<TB>& B, Op op) {
     CSR<TT> out; out.nrows = A.nrows; out.ncols = A.ncols;
     out.indptr.assign(A.nrows + 1, 0);
-#ifdef _OPENMP
-    if (num_threads() > 1 && A.nrows >= 256) {
-        // two-pass union merge: count per row, prefix-sum, fill at fixed
-        // offsets — bit-identical to the serial merge
-        #pragma omp parallel for schedule(static) num_threads(num_threads())
-        for (Index r = 0; r < A.nrows; ++r) {
-            Index i = A.indptr[r], j = B.indptr[r], n = 0;
-            const Index ie = A.indptr[r + 1], je = B.indptr[r + 1];
-            while (i < ie || j < je) {
-                if (j >= je || (i < ie && A.indices[i] < B.indices[j])) ++i;
-                else if (i >= ie || B.indices[j] < A.indices[i]) ++j;
-                else { ++i; ++j; }
-                ++n;
-            }
-            out.indptr[r + 1] = n;
-        }
-        for (Index r = 0; r < A.nrows; ++r) out.indptr[r + 1] += out.indptr[r];
-        out.indices.resize(out.indptr[A.nrows]);
-        out.values.resize(out.indptr[A.nrows]);
-        #pragma omp parallel for schedule(static) num_threads(num_threads())
-        for (Index r = 0; r < A.nrows; ++r) {
-            Index i = A.indptr[r], j = B.indptr[r], w = out.indptr[r];
-            const Index ie = A.indptr[r + 1], je = B.indptr[r + 1];
-            while (i < ie || j < je) {
-                if (j >= je || (i < ie && A.indices[i] < B.indices[j])) {
-                    out.indices[w] = A.indices[i];
-                    out.values[w] = static_cast<TT>(A.values[i]);
-                    ++i;
-                } else if (i >= ie || B.indices[j] < A.indices[i]) {
-                    out.indices[w] = B.indices[j];
-                    out.values[w] = static_cast<TT>(B.values[j]);
-                    ++j;
-                } else {
-                    out.indices[w] = A.indices[i];
-                    out.values[w] =
-                        op(static_cast<TT>(A.values[i]), static_cast<TT>(B.values[j]));
-                    ++i; ++j;
-                }
-                ++w;
-            }
-        }
-        return out;
-    }
-#endif
     for (Index r = 0; r < A.nrows; ++r) {
+        if ((r & 1023) == 0 && cancel_requested()) break;
         Index i = A.indptr[r], j = B.indptr[r];
         const Index ie = A.indptr[r + 1], je = B.indptr[r + 1];
         while (i < ie || j < je) {
@@ -631,42 +454,8 @@ template <class TT, class TA, class TB, class Op>
 CSR<TT> ewise_mult_mat(const CSR<TA>& A, const CSR<TB>& B, Op op) {
     CSR<TT> out; out.nrows = A.nrows; out.ncols = A.ncols;
     out.indptr.assign(A.nrows + 1, 0);
-#ifdef _OPENMP
-    if (num_threads() > 1 && A.nrows >= 256) {
-        // two-pass intersection merge, same stitch as ewise_add_mat
-        #pragma omp parallel for schedule(static) num_threads(num_threads())
-        for (Index r = 0; r < A.nrows; ++r) {
-            Index i = A.indptr[r], j = B.indptr[r], n = 0;
-            const Index ie = A.indptr[r + 1], je = B.indptr[r + 1];
-            while (i < ie && j < je) {
-                if (A.indices[i] < B.indices[j]) ++i;
-                else if (B.indices[j] < A.indices[i]) ++j;
-                else { ++i; ++j; ++n; }
-            }
-            out.indptr[r + 1] = n;
-        }
-        for (Index r = 0; r < A.nrows; ++r) out.indptr[r + 1] += out.indptr[r];
-        out.indices.resize(out.indptr[A.nrows]);
-        out.values.resize(out.indptr[A.nrows]);
-        #pragma omp parallel for schedule(static) num_threads(num_threads())
-        for (Index r = 0; r < A.nrows; ++r) {
-            Index i = A.indptr[r], j = B.indptr[r], w = out.indptr[r];
-            const Index ie = A.indptr[r + 1], je = B.indptr[r + 1];
-            while (i < ie && j < je) {
-                if (A.indices[i] < B.indices[j]) ++i;
-                else if (B.indices[j] < A.indices[i]) ++j;
-                else {
-                    out.indices[w] = A.indices[i];
-                    out.values[w] =
-                        op(static_cast<TT>(A.values[i]), static_cast<TT>(B.values[j]));
-                    ++i; ++j; ++w;
-                }
-            }
-        }
-        return out;
-    }
-#endif
     for (Index r = 0; r < A.nrows; ++r) {
+        if ((r & 1023) == 0 && cancel_requested()) break;
         Index i = A.indptr[r], j = B.indptr[r];
         const Index ie = A.indptr[r + 1], je = B.indptr[r + 1];
         while (i < ie && j < je) {
@@ -690,8 +479,6 @@ Vec<TT> apply_vec(const Vec<TU>& u, F f) {
     out.idx = u.idx;
     const Index n = static_cast<Index>(u.val.size());
     out.val.resize(n);
-    // element-parallel map: trivially bit-identical
-    #pragma omp parallel for schedule(static) num_threads(num_threads()) if (n >= 4096)
     for (Index k = 0; k < n; ++k) out.val[k] = f(static_cast<TT>(u.val[k]));
     return out;
 }
@@ -703,7 +490,6 @@ CSR<TT> apply_mat(const CSR<TA>& A, F f) {
     out.indices = A.indices;
     const Index n = static_cast<Index>(A.values.size());
     out.values.resize(n);
-    #pragma omp parallel for schedule(static) num_threads(num_threads()) if (n >= 4096)
     for (Index k = 0; k < n; ++k) out.values[k] = f(static_cast<TT>(A.values[k]));
     return out;
 }
@@ -712,26 +498,6 @@ template <class T, class Op>
 T reduce_values(const std::vector<T>& vals, Op op, T identity) {
     const Index n = static_cast<Index>(vals.size());
     if (n == 0) return identity;
-#ifdef _OPENMP
-    constexpr Index kChunk = Index(1) << 15;
-    if (num_threads() > 1 && n > 2 * kChunk) {
-        // fixed-size chunks folded left-to-right: deterministic for any
-        // thread count (chunking depends only on the data length)
-        const Index nchunks = (n + kChunk - 1) / kChunk;
-        std::vector<T> partial(nchunks);
-        #pragma omp parallel for schedule(static) num_threads(num_threads())
-        for (Index c = 0; c < nchunks; ++c) {
-            const Index lo = c * kChunk;
-            const Index hi = std::min(n, lo + kChunk);
-            T a = vals[lo];
-            for (Index k = lo + 1; k < hi; ++k) a = op(a, vals[k]);
-            partial[c] = a;
-        }
-        T acc = partial[0];
-        for (Index c = 1; c < nchunks; ++c) acc = op(acc, partial[c]);
-        return acc;
-    }
-#endif
     T acc = vals[0];
     for (Index i = 1; i < n; ++i) acc = op(acc, vals[i]);
     return acc;
@@ -740,25 +506,8 @@ T reduce_values(const std::vector<T>& vals, Op op, T identity) {
 template <class TT, class TA, class Op>
 Vec<TT> reduce_rows(const CSR<TA>& A, Op op) {
     Vec<TT> out; out.size = A.nrows;
-#ifdef _OPENMP
-    if (num_threads() > 1 && A.nrows >= 256) {
-        // row-parallel fold in serial order: bit-identical to serial
-        std::vector<TT> racc(A.nrows);
-        std::vector<uint8_t> rany(A.nrows, 0);
-        #pragma omp parallel for schedule(dynamic, 512) num_threads(num_threads())
-        for (Index i = 0; i < A.nrows; ++i) {
-            const Index lo = A.indptr[i], hi = A.indptr[i + 1];
-            if (lo == hi) continue;
-            TT acc = static_cast<TT>(A.values[lo]);
-            for (Index p = lo + 1; p < hi; ++p) acc = op(acc, static_cast<TT>(A.values[p]));
-            racc[i] = acc; rany[i] = 1;
-        }
-        for (Index i = 0; i < A.nrows; ++i)
-            if (rany[i]) { out.idx.push_back(i); out.val.push_back(racc[i]); }
-        return out;
-    }
-#endif
     for (Index i = 0; i < A.nrows; ++i) {
+        if ((i & 1023) == 0 && cancel_requested()) break;
         const Index lo = A.indptr[i], hi = A.indptr[i + 1];
         if (lo == hi) continue;
         TT acc = static_cast<TT>(A.values[lo]);

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from ..exceptions import CompilationError
 from .cache import JitCache, default_cache
-from .cppcodegen import PARALLEL_FUNCS, generate_cpp_source
+from .cppcodegen import generate_cpp_source
 from .spec import KernelSpec
 
 __all__ = ["algorithm_kernel_specs", "algorithm_module_specs", "warm_cache"]
@@ -96,60 +96,41 @@ _ALGORITHM_MODULES: tuple[tuple[str, str], ...] = (
 )
 
 
-def algorithm_kernel_specs(parallel: bool = False) -> list[KernelSpec]:
-    """The per-operation kernel specs the bundled algorithms use, with
-    ``par=1`` stamped on parallel-capable functions when *parallel*."""
-    specs = []
-    for func, params in _ALGORITHM_KERNELS:
-        p = dict(params)
-        if parallel and func in PARALLEL_FUNCS:
-            p["par"] = True
-        specs.append(KernelSpec.make(func, **p))
-    return specs
+def algorithm_kernel_specs() -> list[KernelSpec]:
+    """The per-operation kernel specs the bundled algorithms use."""
+    return [KernelSpec.make(func, **params) for func, params in _ALGORITHM_KERNELS]
 
 
-def algorithm_module_specs(parallel: bool = False) -> list[KernelSpec]:
+def algorithm_module_specs() -> list[KernelSpec]:
     """Specs of the whole-algorithm C++ modules."""
-    specs = []
-    for func, vtype in _ALGORITHM_MODULES:
-        p: dict = {"vtype": vtype}
-        if parallel:
-            p["par"] = True
-        specs.append(KernelSpec.make(func, **p))
-    return specs
+    return [KernelSpec.make(func, vtype=vtype) for func, vtype in _ALGORITHM_MODULES]
 
 
 def warm_cache(
     cache: JitCache | None = None,
-    parallel: bool | None = None,
     include_algorithm_modules: bool = True,
     max_workers: int | None = None,
 ) -> dict:
     """Pre-build the algorithm kernel set with concurrent g++ jobs.
 
-    *parallel* selects which artifact flavour to warm; ``None`` means
-    "whatever the engine would dispatch right now" (``$PYGB_PARALLEL``
-    plus the ``-fopenmp`` probe).  Returns the :meth:`JitCache.precompile`
-    report dict with ``openmp`` and ``parallel`` keys added.
+    Returns the :meth:`JitCache.precompile` report dict.
     """
     # imported late: cppengine raises BackendUnavailable without a
     # toolchain, and importing it triggers no probe by itself
     from .algorithm_codegen import generate_algorithm_source
-    from .cppengine import CppJitEngine, openmp_available
+    from .cppengine import CppJitEngine
 
     cache = cache if cache is not None else default_cache()
     engine = CppJitEngine(cache)
-    if parallel is None:
-        parallel = engine.parallel_enabled()
 
     jobs = [
-        (spec, generate_cpp_source, engine.compiler_for(spec))
-        for spec in algorithm_kernel_specs(parallel)
+        (spec, generate_cpp_source, engine._compile)
+        for spec in algorithm_kernel_specs()
     ]
     if include_algorithm_modules:
         jobs += [
-            (spec, generate_algorithm_source, engine.compiler_for(spec))
-            for spec in algorithm_module_specs(parallel)
+            (spec, generate_algorithm_source, engine._compile)
+            for spec in algorithm_module_specs()
         ]
     report = cache.precompile(jobs, max_workers=max_workers)
     # failed specs are recorded against the cpp engine's health up front,
@@ -167,6 +148,4 @@ def warm_cache(
             for key, err in report["failed"]:
                 cache.note_jit_failure()
                 cache.health.record_failure(engine.name, key, CompilationError(err))
-    report["parallel"] = parallel
-    report["openmp"] = openmp_available(engine.cxx)
     return report

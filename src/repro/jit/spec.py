@@ -18,7 +18,7 @@ __all__ = ["KernelSpec", "CODEGEN_VERSION"]
 
 #: bumped whenever generated-code layout changes, so stale disk-cache
 #: entries from older library versions can never be loaded.
-CODEGEN_VERSION = 10
+CODEGEN_VERSION = 11
 
 
 def _canon(value) -> str:

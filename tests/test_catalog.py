@@ -45,7 +45,7 @@ needs_cxx = pytest.mark.skipif(not toolchain_works(), reason="no working C++ too
 
 
 def _traversal_spec(func: str = "mxv") -> KernelSpec:
-    """A serial spec of the catalog space, keyed as the cpp engine keys
+    """A spec of the catalog space, keyed as the cpp engine keys
     an unmasked float64 Plus-Times traversal."""
     return KernelSpec.make(
         func, a="float64", u="float64", c="float64", t_dtype="float64",
@@ -59,16 +59,16 @@ def _slice():
 
 
 def _bake_slice(out, monkeypatch):
-    """Bake the three-spec slice (serial) into *out*."""
-    monkeypatch.setattr(catalog_mod, "catalog_kernel_specs", lambda parallel=False: _slice())
-    monkeypatch.setattr(catalog_mod, "algorithm_module_specs", lambda parallel=False: [])
-    return bake_catalog(out, parallel=False)
+    """Bake the three-spec slice into *out*."""
+    monkeypatch.setattr(catalog_mod, "catalog_kernel_specs", _slice)
+    monkeypatch.setattr(catalog_mod, "algorithm_module_specs", lambda: [])
+    return bake_catalog(out)
 
 
 def _get(cache: JitCache, spec: KernelSpec):
     """The cpp engine's lookup of *spec* through *cache*."""
     engine = CppJitEngine(cache)
-    return cache.get_module(spec, generate_cpp_source, engine.compiler_for(spec))
+    return cache.get_module(spec, generate_cpp_source, engine._compile)
 
 
 @pytest.fixture(scope="module")
@@ -97,11 +97,10 @@ def _copy_pack(pack: Path, dest: Path) -> Path:
 def test_catalog_specs_cover_algorithm_set():
     """Tier 1 of the enumeration is the traced algorithm kernel list, so
     the catalog inherits precompile's drift guard: every algorithm spec
-    must appear in the catalog space, serial and parallel."""
-    for parallel in (False, True):
-        catalog = {s.key_hash for s in catalog_kernel_specs(parallel)}
-        algo = {s.key_hash for s in algorithm_kernel_specs(parallel)}
-        assert algo <= catalog
+    must appear in the catalog space."""
+    catalog = {s.key_hash for s in catalog_kernel_specs()}
+    algo = {s.key_hash for s in algorithm_kernel_specs()}
+    assert algo <= catalog
 
 
 def test_catalog_specs_deduplicated():
@@ -113,7 +112,7 @@ def test_catalog_specs_deduplicated():
 # bake + serve round trip
 # ----------------------------------------------------------------------
 def test_catalog_specs_contain_the_baked_slice():
-    space = {s.key_hash for s in catalog_kernel_specs(parallel=False)}
+    space = {s.key_hash for s in catalog_kernel_specs()}
     assert {s.key_hash for s in _slice()} <= space
 
 
@@ -242,7 +241,7 @@ def test_checksum_mismatch_falls_through_to_compile(pack, tmp_path):
     assert check["bad"] == [spec.key]
 
 
-def test_unloadable_entry_quarantined(pack, tmp_path, monkeypatch):
+def test_unloadable_entry_quarantined(pack, tmp_path):
     """Checksum-clean but unloadable (pack baked from a broken file that
     was then faithfully checksummed): the engine's failed dlopen
     quarantines the entry and recompiles, once."""
@@ -250,7 +249,6 @@ def test_unloadable_entry_quarantined(pack, tmp_path, monkeypatch):
 
     from repro.backend.svector import SparseVector
 
-    monkeypatch.setenv("PYGB_PARALLEL", "0")  # the pack holds serial kernels
     broken = _copy_pack(pack, tmp_path / "broken")
     spec = KernelSpec.make("reduce_vec_scalar", a="float64", op="Plus")
     bad = b"not an ELF object\n"
@@ -399,7 +397,7 @@ def test_cross_process_cache_race(tmp_path):
             time.sleep(0.5)  # widen the race window past process startup skew
             return generate_cpp_source(s)
 
-        path = cache.get_module(spec, slow_generate, engine.compiler_for(spec))
+        path = cache.get_module(spec, slow_generate, engine._compile)
         ctypes.CDLL(str(path))
         print("OK", cache.stats.compiles)
         """

@@ -26,7 +26,7 @@ import repro as gb
 from repro.core.dispatch import CountingEngine, make_engine
 from repro.core.masks import AccumExpr
 from repro.core.plan import Plan, fusion_enabled
-from repro.jit.cppcodegen import CPP_GENERATORS, PARALLEL_FUNCS
+from repro.jit.cppcodegen import CPP_GENERATORS
 from repro.jit.cppengine import toolchain_works
 from repro.jit.fused_ops import FUSED_OPS
 
@@ -407,14 +407,12 @@ class TestPlanIR:
 # ----------------------------------------------------------------------
 class TestRegistry:
     def test_every_fused_op_has_all_backends(self):
-        """Each planner rule must have a C++ generator, a reference kernel
-        on the interpreted engine, and (for warm-cache stamping)
-        membership in PARALLEL_FUNCS."""
+        """Each planner rule must have a C++ generator and a reference
+        kernel on the interpreted engine."""
         from repro.backend import kernels as K
 
         names = {op.name for op in FUSED_OPS}
         assert names <= set(CPP_GENERATORS)
-        assert names <= set(PARALLEL_FUNCS)
         for name in names:
             assert callable(getattr(K, name))
 

@@ -511,10 +511,10 @@ class TestCppCancellation:
                 lib.pygb_request_cancel(0)
             assert _mxv(a, u) == clean
 
-    def test_deadline_cancels_running_cpp_kernel(self, monkeypatch):
+    def test_deadline_cancels_running_cpp_kernel(self):
         """End to end: the watchdog thread asserts the flag while the
         C++ kernel runs; the op raises OperationTimeout in bounded time
-        (the serial loops poll every 1024 rows and the writeback checks
+        (the kernel loops poll every 1024 rows and the writeback checks
         once more, so even a coarse poll interval converts the result to
         a timeout instead of surfacing a stale container)."""
         rng = np.random.default_rng(5)
@@ -523,7 +523,6 @@ class TestCppCancellation:
         r, c = np.nonzero(keep)
         a = gb.Matrix((np.ones(r.size), (r, c)), shape=(n, n), dtype=np.float64)
         b = gb.Matrix((np.ones(r.size), (c, r)), shape=(n, n), dtype=np.float64)
-        monkeypatch.setenv("PYGB_PARALLEL", "0")  # serial loops poll the flag
         with use_engine("cpp"):
             cmat = gb.Matrix(shape=(n, n), dtype=np.float64)
             with gb.ArithmeticSemiring:  # warm the kernel cache unguarded

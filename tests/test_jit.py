@@ -135,7 +135,7 @@ class TestPyCodegen:
             # built through the shared kernel cache, so reruns are disk hits
             cache = default_cache()
             eng = CppJitEngine(cache)
-            artifact = cache.get_module(spec, generate_cpp_source, eng.compiler_for(spec))
+            artifact = cache.get_module(spec, generate_cpp_source, eng._compile)
             assert Path(artifact).stat().st_size > 0
 
     def test_header_records_spec_and_defines(self):

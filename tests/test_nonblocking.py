@@ -353,9 +353,10 @@ def test_copy_elision_requires_equal_dtype(engine):
 
 @pytest.mark.cpp
 @pytest.mark.skipif(not toolchain_works(), reason="no working C++ toolchain")
-def test_cross_statement_substitution_fuses(engine):
+def test_cross_statement_substitution_fuses(engine, monkeypatch):
     """t = u + v; w = apply(t); t = overwritten — the consumer stitches the
     producer's tree, the producer dies, and one fused kernel runs."""
+    monkeypatch.setenv("PYGB_FUSION", "1")
     u, v, w = _vecs()
     t = gb.Vector(shape=(N,), dtype=float)
     reset_stats()
